@@ -168,8 +168,8 @@ static void BM_NetManyClients(benchmark::State& state) {
   net::BrokerServer server(&broker, server_options);
   server.Start().OrDie();
 
-  // Park the idle fleet: one uncorrelated long-poll Fetch per connection on
-  // the never-produced-to topic. Nothing ever answers them; they exist to
+  // Park the idle fleet: one Hello, then one long-poll Fetch per connection
+  // on the never-produced-to topic. Nothing ever answers them; they exist to
   // make the server hold ~kClients parked fetches while serving the load.
   net::FetchRequest idle_fetch;
   idle_fetch.entries.push_back({.tp = {"idle", 0}, .offset = 0});
@@ -184,6 +184,7 @@ static void BM_NetManyClients(benchmark::State& state) {
     auto socket = net::Socket::Connect("127.0.0.1", server.port(),
                                        net::After(std::chrono::seconds(10)));
     socket.status().OrDie();
+    net::Handshake(&*socket, net::After(std::chrono::seconds(10))).OrDie();
     net::WriteFrame(&*socket, park_payload,
                     net::After(std::chrono::seconds(10)))
         .OrDie();

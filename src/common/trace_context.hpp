@@ -13,7 +13,7 @@
 // (zeroed in the unsampled common case), so each extra field is paid in
 // queue-slot memory traffic by untraced pipelines — growing the tuple from
 // 72 to 96 bytes cost ~10% on the batched queue microbenchmark. It is also
-// exactly the 16-byte trace block a v2 wire frame carries, so tuple,
+// exactly the 16-byte trace field every wire frame carries, so tuple,
 // record, and frame agree on what trace identity is. Queue-wait time is
 // NOT carried here: collection derives it from the gap between a span's
 // start and its parent span's end (obs::Tracer::CollectSpans).

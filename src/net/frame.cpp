@@ -5,55 +5,38 @@
 
 namespace strata::net {
 
-void EncodeFrame(std::string_view payload, std::string* out) {
-  EncodeFrameEx(payload, nullptr, nullptr, out);
-}
-
 void EncodeFrame(std::string_view payload, const TraceContext& trace,
-                 std::string* out) {
-  EncodeFrameEx(payload, &trace, nullptr, out);
-}
-
-void EncodeFrameEx(std::string_view payload, const TraceContext* trace,
-                   const std::uint64_t* correlation, std::string* out) {
-  const bool traced = trace != nullptr && trace->sampled();
-  std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  if (traced) length |= kFrameTraceFlag;
-  if (correlation != nullptr) length |= kFrameCorrelFlag;
-  codec::PutFixed32(out, length);
-
-  std::string blocks;
-  blocks.reserve(kTraceBlockBytes + kCorrelBlockBytes);
-  if (traced) {
-    codec::PutFixed64(&blocks, trace->trace_id);
-    codec::PutFixed64(&blocks, trace->parent_span);
-  }
-  if (correlation != nullptr) codec::PutFixed64(&blocks, *correlation);
-  codec::PutFixed32(out, MaskCrc(Crc32c(payload, Crc32c(blocks))));
-  out->append(blocks);
+                 std::uint64_t correlation, std::string* out) {
+  // An unsampled context travels as zeros.
+  const TraceContext sent = trace.sampled() ? trace : TraceContext{};
+  std::string fields;
+  codec::PutFixed64(&fields, sent.trace_id);
+  codec::PutFixed64(&fields, sent.parent_span);
+  codec::PutFixed64(&fields, correlation);
+  codec::PutFixed32(out, static_cast<std::uint32_t>(payload.size()));
+  codec::PutFixed32(out, MaskCrc(Crc32c(payload, Crc32c(fields))));
+  out->append(fields);
   out->append(payload.data(), payload.size());
 }
 
 Status WriteFrame(Socket* socket, std::string_view payload, Deadline deadline,
-                  const TraceContext* trace, const std::uint64_t* correlation) {
+                  const TraceContext& trace, std::uint64_t correlation) {
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + kTraceBlockBytes + kCorrelBlockBytes +
-                payload.size());
-  EncodeFrameEx(payload, trace, correlation, &frame);
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  EncodeFrame(payload, trace, correlation, &frame);
   return socket->WriteAll(frame, deadline);
 }
 
 Status ParseFrameHeader(std::string_view header, FrameHeader* out) {
-  std::string_view cursor(header);
-  std::uint32_t length = 0;
-  codec::GetFixed32(&cursor, &length);
-  codec::GetFixed32(&cursor, &out->masked_crc);
-  out->traced = (length & kFrameTraceFlag) != 0;
-  out->correlated = (length & kFrameCorrelFlag) != 0;
-  out->payload_len = length & ~(kFrameTraceFlag | kFrameCorrelFlag);
+  out->header_crc = Crc32c(header.substr(8, kFrameHeaderBytes - 8));
+  codec::GetFixed32(&header, &out->payload_len);
+  codec::GetFixed32(&header, &out->masked_crc);
+  codec::GetFixed64(&header, &out->trace.trace_id);
+  codec::GetFixed64(&header, &out->trace.parent_span);
+  codec::GetFixed64(&header, &out->correlation);
   if (out->payload_len > kMaxFrameBytes) {
     return Status::Corruption("frame length " +
                               std::to_string(out->payload_len) +
@@ -62,63 +45,27 @@ Status ParseFrameHeader(std::string_view header, FrameHeader* out) {
   return Status::Ok();
 }
 
-Status ParseFrameRest(const FrameHeader& header, std::string_view rest,
-                      TraceContext* trace,
-                      std::optional<std::uint64_t>* correlation,
-                      std::string_view* payload) {
-  if (trace != nullptr) *trace = TraceContext{};
-  if (correlation != nullptr) correlation->reset();
-  const std::size_t block_bytes = header.rest_bytes() - header.payload_len;
-  std::string_view blocks = rest.substr(0, block_bytes);
-  const std::uint32_t blocks_crc = Crc32c(blocks);
-  if (header.traced) {
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
-    codec::GetFixed64(&blocks, &trace_id);
-    codec::GetFixed64(&blocks, &parent_span);
-    if (trace != nullptr) {
-      trace->trace_id = trace_id;
-      trace->parent_span = parent_span;
-    }
-  }
-  if (header.correlated) {
-    std::uint64_t id = 0;
-    codec::GetFixed64(&blocks, &id);
-    if (correlation != nullptr) *correlation = id;
-  }
-  std::string_view body = rest.substr(block_bytes);
-  if (Crc32c(body, blocks_crc) != UnmaskCrc(header.masked_crc)) {
+Status CheckFramePayload(const FrameHeader& header, std::string_view payload) {
+  if (Crc32c(payload, header.header_crc) != UnmaskCrc(header.masked_crc)) {
     return Status::Corruption("frame checksum mismatch");
   }
-  *payload = body;
   return Status::Ok();
 }
 
 Status ReadFrame(Socket* socket, std::string* payload, Deadline deadline,
-                 TraceContext* trace,
-                 std::optional<std::uint64_t>* correlation) {
-  if (trace != nullptr) *trace = TraceContext{};
-  if (correlation != nullptr) correlation->reset();
+                 TraceContext* trace, std::uint64_t* correlation) {
   char header_bytes[kFrameHeaderBytes];
   STRATA_RETURN_IF_ERROR(
       socket->ReadFully(header_bytes, sizeof(header_bytes), deadline));
   FrameHeader header;
   STRATA_RETURN_IF_ERROR(ParseFrameHeader(
       std::string_view(header_bytes, sizeof(header_bytes)), &header));
-  std::string rest;
-  rest.resize(header.rest_bytes());
+  payload->resize(header.payload_len);
   STRATA_RETURN_IF_ERROR(
-      socket->ReadFully(rest.data(), rest.size(), deadline));
-  std::string_view body;
-  STRATA_RETURN_IF_ERROR(
-      ParseFrameRest(header, rest, trace, correlation, &body));
-  // The payload is the tail of `rest`; move when it is the whole string,
-  // assign otherwise.
-  if (body.size() == rest.size()) {
-    *payload = std::move(rest);
-  } else {
-    payload->assign(body.data(), body.size());
-  }
+      socket->ReadFully(payload->data(), payload->size(), deadline));
+  STRATA_RETURN_IF_ERROR(CheckFramePayload(header, *payload));
+  if (trace != nullptr) *trace = header.trace;
+  if (correlation != nullptr) *correlation = header.correlation;
   return Status::Ok();
 }
 

@@ -1,30 +1,19 @@
 // Wire framing for the broker protocol: every message travels as
 //
-//   length(4, LE) | masked_crc32c(4, LE) | [trace(16)] | [correl(8)] | payload
+//   length(4, LE) | masked_crc32c(4, LE) | trace(16) | correlation(8) | payload
 //
-// The low 30 bits of the length word are the payload size; the top bit
-// (kFrameTraceFlag, protocol v2) marks a fixed 16-byte trace-context block
-// (trace id + parent span id, LE) and bit 30 (kFrameCorrelFlag, protocol
-// v3) marks an 8-byte correlation id (LE) between the header and the
-// payload. The CRC (Castagnoli, masked as in the storage formats) covers
-// the optional blocks and the payload, so a flipped bit anywhere surfaces
-// as Status::Corruption instead of a garbage decode. Lengths above
-// kMaxFrameBytes are rejected before any allocation, which also cheaply
-// catches desynchronized streams.
-//
-// Correlation ids (v3) are what make request pipelining possible: a client
-// may send many tagged requests on one connection without reading responses
-// in between, and the server echoes each request's id on its response frame
-// so replies can complete out of order (a parked long-poll Fetch no longer
-// blocks a Produce pipelined behind it).
-//
-// Interop: a v1 peer reading a flagged frame sees an implausible length and
-// drops the connection, so writers only set either flag after Hello
-// negotiation (see protocol.hpp) confirms the peer speaks that version.
-// Readers here accept all forms unconditionally.
+// The 32-byte header is fixed. `length` is the payload size. `trace` is the
+// sender's trace context (trace id + parent span id, LE), all zeros when
+// unsampled. `correlation` (LE) is the request id the server echoes on the
+// response, so a client may pipeline many requests on one connection and
+// match completions that arrive out of order (a parked long-poll Fetch does
+// not block a Produce sent behind it). The CRC (Castagnoli, masked as in the
+// storage formats) covers trace, correlation and payload, so a flipped bit
+// anywhere surfaces as Status::Corruption instead of a garbage decode.
+// Lengths above kMaxFrameBytes are rejected before any allocation, which
+// also cheaply catches desynchronized streams.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "common/trace_context.hpp"
@@ -36,85 +25,53 @@ namespace strata::net {
 /// tuple with headroom; small enough that a corrupt length cannot OOM us.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
-/// Length-word bit marking the optional trace-context block (v2 frames).
-inline constexpr std::uint32_t kFrameTraceFlag = 0x80000000u;
+/// Size of the fixed frame header: length, CRC, trace, correlation.
+inline constexpr std::size_t kFrameHeaderBytes = 32;
 
-/// Length-word bit marking the optional correlation-id block (v3 frames).
-inline constexpr std::uint32_t kFrameCorrelFlag = 0x40000000u;
-
-/// Fixed sizes of the frame header and its optional blocks.
-inline constexpr std::size_t kFrameHeaderBytes = 8;
-inline constexpr std::size_t kTraceBlockBytes = 16;
-inline constexpr std::size_t kCorrelBlockBytes = 8;
-
-/// Serialize `payload` into a v1 frame appended to `*out`.
-void EncodeFrame(std::string_view payload, std::string* out);
-
-/// Serialize a frame appended to `*out`; emits the v2 trace block iff
-/// `trace.sampled()`. Only use toward peers that negotiated v2.
+/// Serialize one frame appended to `*out`.
 void EncodeFrame(std::string_view payload, const TraceContext& trace,
-                 std::string* out);
+                 std::uint64_t correlation, std::string* out);
 
-/// General form: emits the trace block iff `trace` is non-null and sampled,
-/// and the correlation block iff `correlation` is non-null. Only use the
-/// correlation block toward peers that negotiated v3 (or that asked with a
-/// correlated frame themselves).
-void EncodeFrameEx(std::string_view payload, const TraceContext* trace,
-                   const std::uint64_t* correlation, std::string* out);
-
-/// Write one frame. When `trace` is non-null and sampled, the frame carries
-/// the v2 trace block — the caller is responsible for having negotiated v2.
-/// `correlation` likewise adds the v3 correlation block.
+/// Write one frame.
 [[nodiscard]] Status WriteFrame(Socket* socket, std::string_view payload,
                                 Deadline deadline,
-                                const TraceContext* trace = nullptr,
-                                const std::uint64_t* correlation = nullptr);
+                                const TraceContext& trace = {},
+                                std::uint64_t correlation = 0);
 
 /// Read one frame into `*payload`. Corruption on CRC mismatch or an
 /// implausible length; otherwise forwards the socket's status (Unavailable
-/// on peer close, Timeout past the deadline). A v2 trace block, when
-/// present, is stored into `*trace` (ignored when `trace` is null); callers
-/// get a zero context otherwise. A v3 correlation id, when present, is
-/// stored into `*correlation` (ignored when null, which also resets it to
-/// nullopt on uncorrelated frames).
+/// on peer close, Timeout past the deadline). The header's trace context
+/// and correlation id are stored into `*trace` / `*correlation` when those
+/// are non-null.
 [[nodiscard]] Status ReadFrame(Socket* socket, std::string* payload,
                                Deadline deadline,
                                TraceContext* trace = nullptr,
-                               std::optional<std::uint64_t>* correlation =
-                                   nullptr);
+                               std::uint64_t* correlation = nullptr);
 
 // --- Incremental (buffer-based) parsing, for the epoll reactor --------------
 //
 // The reactor reads whatever bytes the socket has into a connection buffer
-// and parses frames out of it without blocking: first the fixed 8-byte
-// header (ParseFrameHeader), then — once rest_bytes() more bytes are
-// available — the optional blocks and payload (ParseFrameRest).
+// and parses frames out of it without blocking: first the fixed header
+// (ParseFrameHeader), then — once payload_len more bytes are available —
+// the payload (CheckFramePayload).
 
 struct FrameHeader {
   std::uint32_t payload_len = 0;
   std::uint32_t masked_crc = 0;
-  bool traced = false;
-  bool correlated = false;
-
-  /// Bytes that follow the 8-byte header: optional blocks + payload.
-  [[nodiscard]] std::size_t rest_bytes() const noexcept {
-    return (traced ? kTraceBlockBytes : 0) +
-           (correlated ? kCorrelBlockBytes : 0) + payload_len;
-  }
+  TraceContext trace;
+  std::uint64_t correlation = 0;
+  /// CRC of the trace and correlation fields, chained into the payload's.
+  std::uint32_t header_crc = 0;
 };
 
-/// Parse the fixed header out of exactly kFrameHeaderBytes bytes.
-/// Corruption on an implausible length.
+/// Parse exactly kFrameHeaderBytes bytes. Corruption on an implausible
+/// length.
 [[nodiscard]] Status ParseFrameHeader(std::string_view header,
                                       FrameHeader* out);
 
-/// Parse the optional blocks and payload out of exactly
-/// `header.rest_bytes()` bytes, verifying the CRC. `*payload` points into
-/// `rest` (zero-copy); it is only valid while the underlying buffer lives.
-[[nodiscard]] Status ParseFrameRest(const FrameHeader& header,
-                                    std::string_view rest,
-                                    TraceContext* trace,
-                                    std::optional<std::uint64_t>* correlation,
-                                    std::string_view* payload);
+/// Verify the frame CRC over the header fields and `payload_len` payload
+/// bytes. Corruption on mismatch.
+[[nodiscard]] Status CheckFramePayload(const FrameHeader& header,
+                                       std::string_view payload);
 
 }  // namespace strata::net

@@ -192,30 +192,22 @@ void EncodeProduceRequest(const ProduceRequest& req, std::string* out) {
   codec::PutLengthPrefixed(out, req.record.key);
   codec::PutLengthPrefixed(out, req.record.value);
   codec::PutVarint64Signed(out, req.record.timestamp);
-}
-
-void EncodeProduceRequestV4(const ProduceRequest& req, std::string* out) {
-  EncodeProduceRequest(req, out);
   out->push_back(static_cast<char>(req.acks));
 }
 
-Status DecodeProduceRequest(std::string_view in, ProduceRequest* out,
-                            bool accept_acks) {
+Status DecodeProduceRequest(std::string_view in, ProduceRequest* out) {
   if (!GetString(&in, &out->topic) || !GetString(&in, &out->record.key) ||
       !GetString(&in, &out->record.value) ||
-      !codec::GetVarint64Signed(&in, &out->record.timestamp)) {
+      !codec::GetVarint64Signed(&in, &out->record.timestamp) || in.empty()) {
     return Truncated("produce request");
   }
-  out->acks = ProduceAcks::kLeader;
-  if (accept_acks && !in.empty()) {
-    const auto acks = static_cast<std::uint8_t>(in.front());
-    in.remove_prefix(1);
-    if (acks > static_cast<std::uint8_t>(ProduceAcks::kQuorum)) {
-      return Status::Corruption("protocol: unknown produce acks " +
-                                std::to_string(acks));
-    }
-    out->acks = static_cast<ProduceAcks>(acks);
+  const auto acks = static_cast<std::uint8_t>(in.front());
+  in.remove_prefix(1);
+  if (acks > static_cast<std::uint8_t>(ProduceAcks::kQuorum)) {
+    return Status::Corruption("protocol: unknown produce acks " +
+                              std::to_string(acks));
   }
+  out->acks = static_cast<ProduceAcks>(acks);
   return ExpectDrained(in);
 }
 
@@ -449,7 +441,7 @@ Status DecodeOffsetFetchResponse(std::string_view in,
   return ExpectDrained(in);
 }
 
-// --- replication (v4) -------------------------------------------------------
+// --- replication ------------------------------------------------------------
 
 void EncodeReplicaFetchRequest(const ReplicaFetchRequest& req,
                                std::string* out) {
@@ -750,11 +742,11 @@ Status DecodeClusterMetaResponse(std::string_view in,
 }
 
 void EncodeHelloRequest(const HelloRequest& req, std::string* out) {
-  codec::PutVarint32(out, req.max_version);
+  codec::PutVarint32(out, req.version);
 }
 
 Status DecodeHelloRequest(std::string_view in, HelloRequest* out) {
-  if (!codec::GetVarint32(&in, &out->max_version) || out->max_version == 0) {
+  if (!codec::GetVarint32(&in, &out->version) || out->version == 0) {
     return Truncated("hello request");
   }
   return ExpectDrained(in);

@@ -6,9 +6,11 @@
 // returns Status::Corruption on truncated or trailing bytes — these bytes
 // cross a network, so nothing here may crash or silently mis-parse.
 //
-// The protocol is strictly request/response per connection (no pipelining);
-// clients that want concurrent outstanding calls open more connections,
-// exactly like the thread-per-connection server expects.
+// A connection opens with a Hello carrying kProtocolVersion; the server
+// answers anything else, or a different version, with an error and then
+// severs the connection. After that a client may pipeline requests: each
+// frame's correlation id (net/frame.hpp) comes back on its response, and
+// responses are written as requests complete, not in request order.
 #pragma once
 
 #include <cstdint>
@@ -31,20 +33,17 @@ enum class ApiKey : std::uint8_t {
   kCommitOffset = 8,
   kOffsetFetch = 9,
   kHello = 10,
-  // v4 (strata::repl): leader-based partition replication.
+  // strata::repl: leader-based partition replication.
   kReplicaFetch = 11,
   kReplicaAck = 12,
   kPromoteLeader = 13,
   kClusterMeta = 14,
 };
 
-/// Highest protocol version this build speaks. v1: original framing.
-/// v2: frames may carry the optional trace-context block (frame.hpp).
-/// v3: frames may carry the optional correlation-id block, enabling request
-/// pipelining with out-of-order responses on one connection (frame.hpp).
-/// v4: replication api keys (ReplicaFetch/ReplicaAck/PromoteLeader/
-/// ClusterMeta) and the optional trailing acks byte on Produce bodies.
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// The one protocol version this build speaks; both ends of a connection
+/// must match it exactly. 5: fixed 32-byte frame header (frame.hpp) and the
+/// acks byte always ends a Produce body.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Human-readable name for metrics labels and diagnostics.
 [[nodiscard]] const char* ApiKeyName(ApiKey api) noexcept;
@@ -60,11 +59,9 @@ struct MetadataRequest {
   std::string topic;  // empty = all topics
 };
 
-/// Produce durability requirement (v4). kLeader acks once the leader has
+/// Produce durability requirement. kLeader acks once the leader has
 /// appended; kQuorum holds the response until a majority of the replica set
-/// has the record (see src/repl/). Encoded as an optional trailing byte so
-/// v4 servers still accept pre-v4 bodies; clients must only send it to
-/// servers that negotiated version >= 4.
+/// has the record (see src/repl/). Encoded as the last byte of the body.
 enum class ProduceAcks : std::uint8_t {
   kLeader = 0,
   kQuorum = 1,
@@ -104,7 +101,7 @@ struct OffsetFetchRequest {
   std::vector<ps::TopicPartition> partitions;
 };
 
-/// Follower -> leader (v4): pull records for a topic's partitions starting
+/// Follower -> leader: pull records for a topic's partitions starting
 /// at the follower's local log end. The fetch offset doubles as a cumulative
 /// ack ("everything below is appended here") and the request itself is the
 /// follower's heartbeat to the leader.
@@ -136,7 +133,7 @@ struct ReplicaFetchResponse {
   std::vector<Entry> entries;
 };
 
-/// Follower -> leader (v4): explicit ack after appending fetched records, so
+/// Follower -> leader: explicit ack after appending fetched records, so
 /// the high watermark advances without waiting for the next fetch round.
 struct ReplicaAckRequest {
   std::uint32_t follower = 0;
@@ -157,7 +154,7 @@ struct ReplicaAckResponse {
   std::vector<Entry> entries;
 };
 
-/// New leader -> everyone (v4): announce leadership for a topic at a higher
+/// New leader -> everyone: announce leadership for a topic at a higher
 /// epoch. Receivers with longer logs truncate to the new leader's ends
 /// (uncommitted tail of the failed leader) and resume fetching.
 struct PromoteLeaderRequest {
@@ -179,7 +176,7 @@ struct PromoteLeaderResponse {
   std::vector<Entry> entries;
 };
 
-/// Client or peer -> any broker (v4): the cluster metadata view — broker
+/// Client or peer -> any broker: the cluster metadata view — broker
 /// endpoints plus per-topic leader, epoch, in-sync replica set, and
 /// per-partition [end, high-watermark]. Producers/consumers use it to find
 /// the leader; brokers use it during elections to pick the most caught-up
@@ -213,12 +210,9 @@ struct ClusterMetaResponse {
   std::vector<Topic> topics;
 };
 
-/// Version negotiation, sent once per connection before other requests. A
-/// pre-v2 server does not know the api key and severs the connection without
-/// a response; clients treat that as "peer speaks v1" and reconnect (see
-/// ClientConnection::EnsureConnected).
+/// The mandatory first request of every connection (see net::Handshake).
 struct HelloRequest {
-  std::uint32_t max_version = kProtocolVersion;
+  std::uint32_t version = kProtocolVersion;
 };
 
 // --- response bodies --------------------------------------------------------
@@ -269,8 +263,7 @@ struct OffsetFetchResponse {
 };
 
 struct HelloResponse {
-  /// min(request.max_version, kProtocolVersion): the version both ends speak.
-  std::uint32_t version = 1;
+  std::uint32_t version = kProtocolVersion;
 };
 
 // --- envelope ---------------------------------------------------------------
@@ -301,16 +294,9 @@ void EncodeMetadataResponse(const MetadataResponse& resp, std::string* out);
 [[nodiscard]] Status DecodeMetadataResponse(std::string_view in,
                                             MetadataResponse* out);
 
-/// Pre-v4 body layout (no acks byte) — what v1..v3 peers expect.
 void EncodeProduceRequest(const ProduceRequest& req, std::string* out);
-/// v4 body layout: appends the acks byte. Only send to servers that
-/// negotiated version >= 4 (older ones reject the trailing byte).
-void EncodeProduceRequestV4(const ProduceRequest& req, std::string* out);
-/// Accepts both layouts; `accept_acks` = false emulates a pre-v4 server
-/// (strict: a trailing acks byte is Corruption, as it would be on the wire).
 [[nodiscard]] Status DecodeProduceRequest(std::string_view in,
-                                          ProduceRequest* out,
-                                          bool accept_acks = true);
+                                          ProduceRequest* out);
 void EncodeProduceResponse(const ProduceResponse& resp, std::string* out);
 [[nodiscard]] Status DecodeProduceResponse(std::string_view in,
                                            ProduceResponse* out);

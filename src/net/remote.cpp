@@ -36,7 +36,35 @@ bool IsServerError(const Status& status) {
   return !status.ok() && status.message().rfind("server: ", 0) == 0;
 }
 
+/// DecodeResponse, with the "server: " marker on a transported error so
+/// retry loops treat it as final even if its code overlaps a transport one.
+Status DecodeServerResponse(std::string_view payload, std::string_view* body) {
+  const Status app = DecodeResponse(payload, body);
+  if (!app.ok()) return Status(app.code(), "server: " + app.message());
+  return Status::Ok();
+}
+
 }  // namespace
+
+Status Handshake(Socket* socket, Deadline deadline) {
+  std::string body;
+  EncodeHelloRequest(HelloRequest{}, &body);
+  std::string payload;
+  EncodeRequest(ApiKey::kHello, body, &payload);
+  STRATA_RETURN_IF_ERROR(WriteFrame(socket, payload, deadline));
+  STRATA_RETURN_IF_ERROR(ReadFrame(socket, &payload, deadline));
+  std::string_view out;
+  STRATA_RETURN_IF_ERROR(DecodeServerResponse(payload, &out));
+  HelloResponse resp;
+  STRATA_RETURN_IF_ERROR(DecodeHelloResponse(out, &resp));
+  if (resp.version != kProtocolVersion) {
+    return Status::InvalidArgument(
+        "protocol version mismatch: client speaks v" +
+        std::to_string(kProtocolVersion) + ", server speaks v" +
+        std::to_string(resp.version));
+  }
+  return Status::Ok();
+}
 
 // --- ClientConnection -------------------------------------------------------
 
@@ -83,39 +111,11 @@ Status ClientConnection::EnsureConnected() {
   auto socket =
       Socket::Connect(options_.host, options_.port, After(options_.connect_timeout));
   if (!socket.ok()) return socket.status();
-  socket_ = std::move(*socket);
-  server_version_ = 1;
   if (reconnects_ != nullptr) reconnects_->Inc();
-  return Negotiate();
-}
-
-Status ClientConnection::Negotiate() {
-  if (assume_v1_ || kProtocolVersion < 2) return Status::Ok();
-  std::string body;
-  EncodeHelloRequest(HelloRequest{}, &body);
-  scratch_.clear();
-  EncodeRequest(ApiKey::kHello, body, &scratch_);
-  const Deadline deadline = After(options_.request_timeout);
-  Status status = WriteFrame(&socket_, scratch_, deadline);
-  std::string payload;
-  if (status.ok()) status = ReadFrame(&socket_, &payload, deadline);
-  if (!status.ok()) {
-    // A pre-v2 server severs the connection on the unknown api key instead
-    // of responding. Remember that and reconnect plain-v1; do not surface
-    // the probe failure — the caller's request is about to retry anyway.
-    assume_v1_ = true;
-    socket_.Close();
-    LOG_DEBUG << "net: hello severed (" << status.ToString()
-              << "), assuming v1 peer";
-    return EnsureConnected();
-  }
-  std::string_view response_body;
-  const Status app = DecodeResponse(payload, &response_body);
-  HelloResponse resp;
-  if (app.ok() && DecodeHelloResponse(response_body, &resp).ok()) {
-    server_version_ = std::min(resp.version, kProtocolVersion);
-  }
-  // An application error leaves the connection usable at v1.
+  STRATA_RETURN_IF_ERROR(
+      Handshake(&*socket, After(options_.request_timeout)));
+  socket_ = std::move(*socket);
+  last_correlation_ = 0;
   return Status::Ok();
 }
 
@@ -126,40 +126,29 @@ Status ClientConnection::RoundTrip(ApiKey api, std::string_view body,
   EncodeRequest(api, body, &scratch_);
   const Deadline deadline = After(options_.request_timeout + extra_wait);
   // Tag the frame with the caller's active span (if any) so the server's
-  // dispatch span joins the same trace. Only v2+ peers understand the flag.
-  const TraceContext* trace = nullptr;
-  TraceContext slot;
-  if (server_version_ >= 2 && obs::TracingEnabled()) {
-    slot = ThreadTraceSlot();
-    if (slot.sampled()) trace = &slot;
-  }
-  STRATA_RETURN_IF_ERROR(WriteFrame(&socket_, scratch_, deadline, trace));
+  // dispatch span joins the same trace.
+  const TraceContext trace =
+      obs::TracingEnabled() ? ThreadTraceSlot() : TraceContext{};
+  const std::uint64_t correlation = ++last_correlation_;
+  STRATA_RETURN_IF_ERROR(
+      WriteFrame(&socket_, scratch_, deadline, trace, correlation));
 
   std::string payload;
-  STRATA_RETURN_IF_ERROR(ReadFrame(&socket_, &payload, deadline));
-
+  std::uint64_t echoed = 0;
+  STRATA_RETURN_IF_ERROR(
+      ReadFrame(&socket_, &payload, deadline, nullptr, &echoed));
+  if (echoed != correlation) {
+    return Status::Corruption(
+        "response correlation id " + std::to_string(echoed) +
+        " does not match request " + std::to_string(correlation));
+  }
   std::string_view out;
-  Status app = DecodeResponse(payload, &out);
-  // The application error already crossed the wire intact; make sure the
-  // retry loop treats it as final even if its code overlaps a transport one.
-  if (!app.ok()) return Status(app.code(), "server: " + app.message());
+  STRATA_RETURN_IF_ERROR(DecodeServerResponse(payload, &out));
   response_body->assign(out.data(), out.size());
   return Status::Ok();
 }
 
 Status ClientConnection::Call(ApiKey api, std::string_view body,
-                              std::string* response_body,
-                              std::chrono::microseconds extra_wait,
-                              bool retry) {
-  return Call(
-      api,
-      [body](std::uint32_t /*version*/, std::string* out) {
-        out->assign(body.data(), body.size());
-      },
-      response_body, extra_wait, retry);
-}
-
-Status ClientConnection::Call(ApiKey api, const BodyBuilder& make_body,
                               std::string* response_body,
                               std::chrono::microseconds extra_wait,
                               bool retry) {
@@ -182,15 +171,11 @@ Status ClientConnection::Call(ApiKey api, const BodyBuilder& make_body,
       }
     }
     last = EnsureConnected();
-    if (!last.ok()) continue;  // connect failures are always retryable
-
-    // Built after Hello so the encoding can adapt to the peer's version.
-    std::string body;
-    make_body(server_version_, &body);
-    last = RoundTrip(api, body, response_body, extra_wait);
+    if (last.ok()) last = RoundTrip(api, body, response_body, extra_wait);
     if (last.ok()) return last;
     if (!IsTransportError(last) || IsServerError(last)) {
-      return last;  // application error from the server: never retry
+      // Application error from the server, or a failed Hello: never retry.
+      return last;
     }
     // Transport fault: the stream cannot be trusted (a timeout may have left
     // half a frame in flight). Reconnect on the next attempt.
@@ -207,8 +192,6 @@ void ClientConnection::SetEndpoint(const std::string& host,
   socket_.Close();
   options_.host = host;
   options_.port = port;
-  server_version_ = 1;
-  assume_v1_ = false;  // the new peer negotiates from scratch
 }
 
 void ClientConnection::CountRetry() noexcept {
@@ -258,8 +241,8 @@ void LeaderRouter::Refresh(const std::string& topic) {
     if (!status.ok() && !IsServerError(status)) continue;  // dead broker
     probe_from_ = (probe_from_ + i) % candidates.size();
     if (!status.ok()) {
-      // Live, but no cluster view (standalone / pre-repl broker answering
-      // InvalidArgument, or a pre-v4 build severing the probe): stay here.
+      // Live, but no cluster view (a standalone broker answers
+      // InvalidArgument): stay here.
       return;
     }
     ClusterMetaResponse meta;
@@ -292,8 +275,7 @@ void LeaderRouter::Refresh(const std::string& topic) {
 }
 
 Status LeaderRouter::Call(ApiKey api, const std::string& topic,
-                          const ClientConnection::BodyBuilder& make_body,
-                          std::string* response_body,
+                          std::string_view body, std::string* response_body,
                           std::chrono::microseconds extra_wait) {
   const int rounds = std::max(1, options_.cluster_refresh_rounds);
   Status last = Status::Ok();
@@ -303,7 +285,7 @@ Status LeaderRouter::Call(ApiKey api, const std::string& topic,
       std::this_thread::sleep_for(options_.cluster_refresh_backoff);
     }
     if (round > 0) connection_.CountRetry();
-    last = connection_.Call(api, make_body, response_body, extra_wait,
+    last = connection_.Call(api, body, response_body, extra_wait,
                             /*retry=*/endpoints_.empty());
     if (last.ok() || last.IsClosed()) return last;
     if (IsServerError(last) && !last.IsNotLeader()) {
@@ -323,20 +305,11 @@ Result<std::pair<int, std::int64_t>> RemoteProducer::Send(
   req.topic = topic;
   req.record = std::move(record);
   req.acks = options_.acks;
+  std::string body;
+  EncodeProduceRequest(req, &body);
   std::string response;
-  // Encoded per attempt: only a v4 peer understands the trailing acks byte,
-  // so against an older broker the request downgrades to the legacy layout
-  // (and therefore to leader acks) instead of being rejected.
-  STRATA_RETURN_IF_ERROR(router_.Call(
-      ApiKey::kProduce, topic,
-      [&req](std::uint32_t version, std::string* out) {
-        if (version >= 4) {
-          EncodeProduceRequestV4(req, out);
-        } else {
-          EncodeProduceRequest(req, out);
-        }
-      },
-      &response));
+  STRATA_RETURN_IF_ERROR(
+      router_.Call(ApiKey::kProduce, topic, body, &response));
   ProduceResponse resp;
   STRATA_RETURN_IF_ERROR(DecodeProduceResponse(response, &resp));
   return std::pair<int, std::int64_t>{resp.partition, resp.offset};
@@ -372,10 +345,7 @@ RemoteConsumer::~RemoteConsumer() {
 Status RemoteConsumer::Call(ApiKey api, const std::string& body,
                             std::string* response,
                             std::chrono::microseconds extra_wait) {
-  return router_.Call(
-      api, topic_,
-      [&body](std::uint32_t /*version*/, std::string* out) { *out = body; },
-      response, extra_wait);
+  return router_.Call(api, topic_, body, response, extra_wait);
 }
 
 Status RemoteConsumer::JoinOnCurrentLeader() {

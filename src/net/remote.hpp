@@ -5,14 +5,14 @@
 // in-process and networked brokers without code changes.
 //
 // Each producer and consumer owns its own connection: this client speaks
-// strict request/response (it does not use the protocol's v3 correlation-id
-// pipelining), so a consumer's long-poll Fetch would otherwise block every
-// producer sharing the socket. Connections reconnect transparently with
-// decorrelated-jitter backoff — randomized per connection so a fleet severed
-// by one broker restart fans back in instead of reconnecting in lockstep —
-// and a request that exhausts its retries surfaces the last transport error
-// as a clean Status. Produce retries after a connection drop may duplicate a
-// record (at-least-once) — the ack may have been lost, not the write.
+// strict request/response (it does not pipeline), so a consumer's long-poll
+// Fetch would otherwise block every producer sharing the socket.
+// Connections reconnect transparently with decorrelated-jitter backoff —
+// randomized per connection so a fleet severed by one broker restart fans
+// back in instead of reconnecting in lockstep — and a request that exhausts
+// its retries surfaces the last transport error as a clean Status. Produce
+// retries after a connection drop may duplicate a record (at-least-once) —
+// the ack may have been lost, not the write.
 #pragma once
 
 #include <chrono>
@@ -56,8 +56,7 @@ struct RemoteOptions {
   std::vector<std::pair<std::string, std::uint16_t>> bootstrap;
   /// Produce durability: kLeader acks once the leader appended, kQuorum
   /// holds the ack until a majority of the cluster replicated the record.
-  /// Ignored (with a version-gated downgrade to leader acks) when the
-  /// negotiated protocol predates v4.
+  /// A broker without replication treats kQuorum as kLeader.
   ProduceAcks acks = ProduceAcks::kLeader;
   /// How many refresh-and-retry rounds a routed call may spend chasing the
   /// leader across failovers before surfacing the last error.
@@ -68,6 +67,13 @@ struct RemoteOptions {
       std::chrono::milliseconds(200);
 };
 
+/// The Hello exchange that opens every connection: sends kProtocolVersion
+/// and checks the server answered with the same. A version mismatch, told
+/// by the server or seen in its answer, is InvalidArgument naming both
+/// versions; errors the server answered carry the "server: " marker.
+/// Neither is a transport fault, so ClientConnection never retries them.
+[[nodiscard]] Status Handshake(Socket* socket, Deadline deadline);
+
 /// One framed request/response connection with reconnect-and-retry.
 /// Not thread-safe: owned by a single producer/consumer/broker handle.
 class ClientConnection {
@@ -76,37 +82,23 @@ class ClientConnection {
 
   /// Round-trip one request. Reconnects and retries (decorrelated-jitter
   /// backoff, capped at backoff_max) on transport errors when `retry`
-  /// allows it; application errors from the server are returned as-is
-  /// without retry. `extra_wait` widens the read deadline for server-side
+  /// allows it; application errors from the server, a failed Hello
+  /// included, are returned as-is without retry. A response whose
+  /// correlation id differs from the request's is a transport fault
+  /// (Corruption). `extra_wait` widens the read deadline for server-side
   /// long-polls.
   [[nodiscard]] Status Call(ApiKey api, std::string_view body,
                             std::string* response_body,
                             std::chrono::microseconds extra_wait = {},
                             bool retry = true);
 
-  /// Builds one request body per attempt, *after* the connection (and its
-  /// Hello negotiation) is up, so the encoding can depend on the peer's
-  /// protocol version — a v4-aware producer downgrades its acks byte away
-  /// when talking to an older broker.
-  using BodyBuilder = std::function<void(std::uint32_t version, std::string*)>;
-  [[nodiscard]] Status Call(ApiKey api, const BodyBuilder& make_body,
-                            std::string* response_body,
-                            std::chrono::microseconds extra_wait = {},
-                            bool retry = true);
-
-  /// Re-point the connection at another broker: closes the socket and
-  /// forgets the negotiated version (the next Call reconnects + renegotiates
-  /// against the new peer).
+  /// Re-point the connection at another broker: closes the socket (the next
+  /// Call reconnects and says Hello to the new peer).
   void SetEndpoint(const std::string& host, std::uint16_t port);
   [[nodiscard]] const std::string& host() const noexcept {
     return options_.host;
   }
   [[nodiscard]] std::uint16_t port() const noexcept { return options_.port; }
-
-  /// Version negotiated for the current connection (1 until connected).
-  [[nodiscard]] std::uint32_t server_version() const noexcept {
-    return server_version_;
-  }
 
   /// Drop the connection; the next Call reconnects.
   void Disconnect() noexcept { socket_.Close(); }
@@ -131,19 +123,12 @@ class ClientConnection {
   [[nodiscard]] Status RoundTrip(ApiKey api, std::string_view body,
                                  std::string* response_body,
                                  std::chrono::microseconds extra_wait);
-  /// Sends Hello once per connection to learn the peer's protocol version.
-  /// A pre-v2 server severs the connection instead of answering; that is
-  /// remembered in assume_v1_ so reconnects never pay the probe again.
-  [[nodiscard]] Status Negotiate();
 
   RemoteOptions options_;
   Socket socket_;
   std::string scratch_;
-  /// Version negotiated for the *current* connection (1 until Hello runs).
-  /// Trace-flagged frames are only sent when this is >= 2.
-  std::uint32_t server_version_ = 1;
-  /// Set when the peer severed a Hello: it predates version negotiation.
-  bool assume_v1_ = false;
+  /// Correlation id of the last request on this connection.
+  std::uint64_t last_correlation_ = 0;
   obs::Counter* retries_ = nullptr;
   obs::Counter* reconnects_ = nullptr;
 
@@ -165,19 +150,17 @@ class ClientConnection {
 /// refresh against the known endpoints (bootstrap seeds plus every broker
 /// learned from previous refreshes), and the call is retried against the
 /// discovered leader — bounded by RemoteOptions::cluster_refresh_rounds.
-/// Against a standalone or pre-repl broker the refresh degrades to a no-op
-/// (ClusterMeta is unknown there) and calls behave like a plain connection.
+/// Against a standalone broker the refresh degrades to a no-op (it answers
+/// ClusterMeta with an error) and calls behave like a plain connection.
 /// Not thread-safe, same single-owner contract as ClientConnection.
 class LeaderRouter {
  public:
   explicit LeaderRouter(RemoteOptions options);
 
   /// Round-trip with leader re-routing. `topic` scopes the leader lookup on
-  /// refresh (group traffic follows its topic's leader). The body builder
-  /// runs per attempt with the freshly negotiated version.
+  /// refresh (group traffic follows its topic's leader).
   [[nodiscard]] Status Call(ApiKey api, const std::string& topic,
-                            const ClientConnection::BodyBuilder& make_body,
-                            std::string* response_body,
+                            std::string_view body, std::string* response_body,
                             std::chrono::microseconds extra_wait = {});
 
   [[nodiscard]] ClientConnection& connection() noexcept { return connection_; }
@@ -185,7 +168,7 @@ class LeaderRouter {
  private:
   /// Probe the known endpoints for cluster metadata and re-point the
   /// connection at `topic`'s leader (or at any live broker when the cluster
-  /// has no view of the topic / does not speak v4).
+  /// has no view of the topic / no replication).
   void Refresh(const std::string& topic);
 
   RemoteOptions options_;

@@ -1,11 +1,11 @@
 // Server-side replication hooks (implemented by repl::ReplicationManager).
 //
 // strata::repl sits above strata::net — it drives ClientConnections to peer
-// brokers — yet the BrokerServer must dispatch the v4 replication api keys
+// brokers — yet the BrokerServer must dispatch the replication api keys
 // and gate produces/fetches on replication state. This abstract interface
 // breaks that cycle: the server calls through it, repl implements it, and a
 // server started without hooks (BrokerServerOptions::repl == nullptr)
-// behaves exactly like a pre-repl broker.
+// behaves exactly like a standalone broker.
 //
 // Threading: every method may be called concurrently from reactor threads.
 // Implementations must not block (the reactor serves all connections) and
@@ -54,7 +54,7 @@ class ReplicationHooks {
   /// Drop a pending commit waiter; a no-op when it already fired.
   virtual void CancelCommitWaiter(std::uint64_t id) = 0;
 
-  // v4 api-key handlers, dispatched by ServerConnection.
+  // Replication api-key handlers, dispatched by ServerConnection.
   [[nodiscard]] virtual Status HandleReplicaFetch(
       const ReplicaFetchRequest& req, ReplicaFetchResponse* resp) = 0;
   [[nodiscard]] virtual Status HandleReplicaAck(const ReplicaAckRequest& req,

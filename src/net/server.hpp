@@ -10,9 +10,9 @@
 // data arrives (see ps::Broker::AddDataWaiter), so thousands of idle
 // long-polling consumers cost a few fds each, not a thread.
 //
-// Requests may be pipelined: a v3 client tags frames with correlation ids
-// and receives completions out of order; v1/v2 clients get strict
-// request-order responses (see server_conn.hpp for the ordering rules).
+// Requests may be pipelined: every response echoes its request's frame
+// correlation id and is written the moment it completes, so completions
+// may arrive out of request order (see server_conn.hpp).
 //
 // Consumer-group sessions are tied to the connection: every (group, member)
 // joined through a connection is left automatically when that connection
@@ -60,21 +60,14 @@ struct BrokerServerOptions {
   /// the data plane behind it.
   std::size_t event_loop_workers = 2;
   /// Replication hooks (a repl::ReplicationManager) gating produces on
-  /// leadership, clamping fetches to the high watermark, and serving the v4
+  /// leadership, clamping fetches to the high watermark, and serving the
   /// replication api keys. Must outlive the server. nullptr = standalone
-  /// broker, pre-repl behavior.
+  /// broker.
   ReplicationHooks* repl = nullptr;
   /// How long an acks=quorum produce may wait for the majority before the
   /// server answers Timeout (the append itself already happened, so clients
   /// retrying on it get at-least-once semantics, like any lost response).
   std::chrono::microseconds quorum_ack_timeout = std::chrono::seconds(5);
-  /// Highest protocol version admitted in Hello negotiation. Tests pin this
-  /// down to emulate older brokers (e.g. 2 = pre-correlation, 3 = pre-repl);
-  /// leave at kProtocolVersion otherwise. When < 4 the server also rejects
-  /// v4-only constructs outright — replication api keys sever without a
-  /// response and a trailing produce acks byte is Corruption — exactly as a
-  /// genuine older build would.
-  std::uint32_t max_protocol_version = kProtocolVersion;
 };
 
 class BrokerServer {

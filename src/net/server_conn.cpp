@@ -203,23 +203,18 @@ void ServerConnection::ProcessBuffer() {
       Close();
       return;
     }
-    if (avail < kFrameHeaderBytes + header.rest_bytes()) break;
-    TraceContext trace;
-    std::optional<std::uint64_t> correlation;
-    std::string_view payload;
-    parsed = ParseFrameRest(
-        header,
-        std::string_view(rbuf_).substr(rpos_ + kFrameHeaderBytes,
-                                       header.rest_bytes()),
-        &trace, &correlation, &payload);
+    if (avail < kFrameHeaderBytes + header.payload_len) break;
+    const std::string_view payload = std::string_view(rbuf_).substr(
+        rpos_ + kFrameHeaderBytes, header.payload_len);
+    parsed = CheckFramePayload(header, payload);
     if (!parsed.ok()) {
       LOG_WARN << "net: dropping connection after corrupt frame: "
                << parsed.message();
       Close();
       return;
     }
-    rpos_ += kFrameHeaderBytes + header.rest_bytes();
-    DispatchFrame(payload, trace, correlation);
+    rpos_ += kFrameHeaderBytes + header.payload_len;
+    DispatchFrame(payload, header.trace, header.correlation);
     if (guard->conn == nullptr) return;  // closed during dispatch
   }
   if (rpos_ > 0) {
@@ -228,18 +223,11 @@ void ServerConnection::ProcessBuffer() {
   }
 }
 
-void ServerConnection::DispatchFrame(
-    std::string_view payload, const TraceContext& trace,
-    const std::optional<std::uint64_t>& correlation) {
+void ServerConnection::DispatchFrame(std::string_view payload,
+                                     const TraceContext& trace,
+                                     std::uint64_t correlation) {
   if (ctx_->bytes_in != nullptr) {
-    ctx_->bytes_in->Inc(payload.size() + kFrameHeaderBytes);
-  }
-  // Uncorrelated responses must go out in arrival order; reserve the slot
-  // before dispatch so a parked fetch holds its place in the queue.
-  std::shared_ptr<Slot> slot;
-  if (!correlation.has_value()) {
-    slot = std::make_shared<Slot>();
-    slots_.push_back(slot);
+    ctx_->bytes_in->Inc(kFrameHeaderBytes + payload.size());
   }
   std::string response;
   bool parked = false;
@@ -251,8 +239,7 @@ void ServerConnection::DispatchFrame(
     if (trace.sampled() && obs::TracingEnabled()) {
       span = obs::SpanScope("server.dispatch", "net", trace);
     }
-    handled =
-        HandleRequest(payload, trace, correlation, slot, &response, &parked);
+    handled = HandleRequest(payload, trace, correlation, &response, &parked);
   }
   // Failpoint "net.server.dispatch": sever the connection after the request
   // was applied but before the response goes out — the crash window that
@@ -262,41 +249,31 @@ void ServerConnection::DispatchFrame(
     Close();
     return;
   }
-  if (parked) return;  // response queued later, slot (if any) held
-  if (!response.empty()) {
-    QueueResponse(response, trace, correlation, slot);
-  } else if (slot != nullptr) {
-    // The request envelope didn't decode: nothing to answer, but the slot
-    // must not block the queue.
-    slot->done = true;
-    FlushSlots();
-  }
+  if (parked) return;  // response queued when the park resolves
+  // An envelope that did not decode leaves nothing to answer.
+  if (!response.empty()) QueueResponse(response, trace, correlation);
   if (!handled.ok()) {
     // The error response (if any) is queued above; now sever — a corrupt
-    // body means the next frame boundary cannot be trusted.
+    // body means the next frame boundary cannot be trusted, and a client
+    // that skipped or failed Hello does not speak this protocol.
     LOG_WARN << "net: dropping connection: " << handled.ToString();
     Sever();
   }
 }
 
-Status ServerConnection::HandleRequest(
-    std::string_view payload, const TraceContext& trace,
-    const std::optional<std::uint64_t>& correlation,
-    const std::shared_ptr<Slot>& slot, std::string* response, bool* parked) {
+Status ServerConnection::HandleRequest(std::string_view payload,
+                                       const TraceContext& trace,
+                                       std::uint64_t correlation,
+                                       std::string* response, bool* parked) {
   ApiKey api{};
   std::string_view body;
   Status decoded = DecodeRequest(payload, &api, &body);
   if (!decoded.ok()) return decoded;  // cannot even answer: drop connection
-  if (api >= ApiKey::kReplicaFetch &&
-      ctx_->options->max_protocol_version < 4) {
-    // Emulating a pre-repl build (tests pin max_protocol_version down): a
-    // genuine older server does not know these keys and severs without a
-    // response, exactly like the unknown-api-key path above.
-    return Status::Corruption("protocol: unknown api key " +
-                              std::to_string(static_cast<int>(api)) +
-                              " (server capped at v" +
-                              std::to_string(ctx_->options->max_protocol_version) +
-                              ")");
+  if (!hello_done_ && api != ApiKey::kHello) {
+    const Status refused = Status::InvalidArgument(
+        std::string("protocol: Hello required before ") + ApiKeyName(api));
+    EncodeResponse(refused, {}, response);
+    return refused;
   }
 
   ps::Broker* broker = ctx_->broker;
@@ -344,8 +321,7 @@ Status ServerConnection::HandleRequest(
     }
     case ApiKey::kProduce: {
       ProduceRequest req;
-      status = DecodeProduceRequest(body, &req,
-                                    ctx_->options->max_protocol_version >= 4);
+      status = DecodeProduceRequest(body, &req);
       ReplicationHooks* repl = ctx_->options->repl;
       if (status.ok() && repl != nullptr) {
         // Replicated topics only accept produces on the leader; the error
@@ -362,7 +338,7 @@ Status ServerConnection::HandleRequest(
             // The append succeeded locally; hold the response until a
             // majority of the replica set confirms it (or the quorum
             // timeout answers Timeout — the client retry is at-least-once).
-            ParkProduce(req.topic, resp, trace, correlation, slot);
+            ParkProduce(req.topic, resp, trace, correlation);
             *parked = true;
             if (requests != nullptr) requests->Inc();
             return Status::Ok();
@@ -373,7 +349,7 @@ Status ServerConnection::HandleRequest(
       break;
     }
     case ApiKey::kFetch: {
-      status = HandleFetch(body, trace, correlation, slot, &out, parked);
+      status = HandleFetch(body, trace, correlation, &out, parked);
       if (*parked) {
         // The response is queued when the park resolves; count the request
         // now (latency histograms cover only non-parked requests).
@@ -448,11 +424,14 @@ Status ServerConnection::HandleRequest(
     case ApiKey::kHello: {
       HelloRequest req;
       status = DecodeHelloRequest(body, &req);
-      if (status.ok()) {
-        peer_version_ = std::min({req.max_version, kProtocolVersion,
-                                  ctx_->options->max_protocol_version});
-        EncodeHelloResponse(HelloResponse{peer_version_}, &out);
+      if (status.ok() && req.version != kProtocolVersion) {
+        status = Status::InvalidArgument(
+            "protocol version mismatch: client speaks v" +
+            std::to_string(req.version) + ", server speaks v" +
+            std::to_string(kProtocolVersion));
       }
+      hello_done_ = status.ok();
+      if (hello_done_) EncodeHelloResponse(HelloResponse{}, &out);
       break;
     }
     case ApiKey::kReplicaFetch: {
@@ -521,16 +500,16 @@ Status ServerConnection::HandleRequest(
   if (latency != nullptr) latency->Record(NowUs() - start_us);
 
   // A malformed body means the client and server disagree about the protocol
-  // (or the frame CRC missed something): answer with the error once, then
-  // sever — the next frame boundary cannot be trusted.
+  // (or the frame CRC missed something), and so does a failed Hello: answer
+  // with the error once, then sever.
   EncodeResponse(status, out, response);
-  return status.IsCorruption() ? status : Status::Ok();
+  return status.IsCorruption() || !hello_done_ ? status : Status::Ok();
 }
 
-Status ServerConnection::HandleFetch(
-    std::string_view body, const TraceContext& trace,
-    const std::optional<std::uint64_t>& correlation,
-    const std::shared_ptr<Slot>& slot, std::string* out, bool* parked) {
+Status ServerConnection::HandleFetch(std::string_view body,
+                                     const TraceContext& trace,
+                                     std::uint64_t correlation,
+                                     std::string* out, bool* parked) {
   FetchRequest req;
   STRATA_RETURN_IF_ERROR(DecodeFetchRequest(body, &req));
 
@@ -558,7 +537,6 @@ Status ServerConnection::HandleFetch(
   parked_fetch.deadline = After(wait_budget);
   parked_fetch.trace = trace;
   parked_fetch.correlation = correlation;
-  parked_fetch.slot = slot;
   parked_.push_back(std::move(parked_fetch));
   auto it = std::prev(parked_.end());
 
@@ -670,10 +648,9 @@ void ServerConnection::FinishParked(std::list<ParkedFetch>::iterator it,
   std::string payload;
   EncodeResponse(status, body, &payload);
   const TraceContext trace = it->trace;
-  const std::optional<std::uint64_t> correlation = it->correlation;
-  const std::shared_ptr<Slot> slot = it->slot;
+  const std::uint64_t correlation = it->correlation;
   parked_.erase(it);
-  QueueResponse(payload, trace, correlation, slot);
+  QueueResponse(payload, trace, correlation);
 }
 
 void ServerConnection::CompleteAllParked() {
@@ -690,16 +667,15 @@ void ServerConnection::CompleteAllParked() {
   }
 }
 
-void ServerConnection::ParkProduce(
-    const std::string& topic, const ProduceResponse& resp,
-    const TraceContext& trace, const std::optional<std::uint64_t>& correlation,
-    const std::shared_ptr<Slot>& slot) {
+void ServerConnection::ParkProduce(const std::string& topic,
+                                   const ProduceResponse& resp,
+                                   const TraceContext& trace,
+                                   std::uint64_t correlation) {
   ParkedProduce parked;
   parked.id = next_parked_id_++;
   parked.resp = resp;
   parked.trace = trace;
   parked.correlation = correlation;
-  parked.slot = slot;
   parked_produce_.push_back(std::move(parked));
   auto it = std::prev(parked_produce_.end());
   const std::uint64_t parked_id = it->id;
@@ -748,48 +724,23 @@ void ServerConnection::FinishParkedProduce(std::uint64_t id,
     std::string payload;
     EncodeResponse(status, body, &payload);
     const TraceContext trace = it->trace;
-    const std::optional<std::uint64_t> correlation = it->correlation;
-    const std::shared_ptr<Slot> slot = it->slot;
+    const std::uint64_t correlation = it->correlation;
     parked_produce_.erase(it);
-    QueueResponse(payload, trace, correlation, slot);
+    QueueResponse(payload, trace, correlation);
     return;
   }
 }
 
-void ServerConnection::QueueResponse(
-    const std::string& payload, const TraceContext& trace,
-    const std::optional<std::uint64_t>& correlation,
-    const std::shared_ptr<Slot>& slot) {
-  // Echo the request's trace onto the response frame for v2+ peers, so the
-  // reply leg is attributable to the same trace; echo the correlation id so
-  // a pipelining client can match out-of-order completions.
-  const TraceContext* response_trace =
-      peer_version_ >= 2 && trace.sampled() ? &trace : nullptr;
-  const std::uint64_t* correlation_id =
-      correlation.has_value() ? &*correlation : nullptr;
-  std::string frame;
-  EncodeFrameEx(payload, response_trace, correlation_id, &frame);
-  if (ctx_->bytes_out != nullptr) {
-    ctx_->bytes_out->Inc(payload.size() + kFrameHeaderBytes);
-  }
-  if (slot != nullptr) {
-    slot->frame = std::move(frame);
-    slot->done = true;
-    FlushSlots();
-  } else {
-    wbuf_.append(frame);
-    StartWrite();
-  }
-}
-
-void ServerConnection::FlushSlots() {
-  bool appended = false;
-  while (!slots_.empty() && slots_.front()->done) {
-    wbuf_.append(slots_.front()->frame);
-    slots_.pop_front();
-    appended = true;
-  }
-  if (appended || severing_) StartWrite();
+void ServerConnection::QueueResponse(const std::string& payload,
+                                     const TraceContext& trace,
+                                     std::uint64_t correlation) {
+  // Echo the request's trace, so the reply leg is attributable to the same
+  // trace, and its correlation id, so a pipelining client can match
+  // out-of-order completions.
+  const std::size_t before = wbuf_.size();
+  EncodeFrame(payload, trace, correlation, &wbuf_);
+  if (ctx_->bytes_out != nullptr) ctx_->bytes_out->Inc(wbuf_.size() - before);
+  StartWrite();
 }
 
 void ServerConnection::StartWrite() {
@@ -808,7 +759,7 @@ void ServerConnection::StartWrite() {
     wpos_ = 0;
     ArmWrite(false);
     // A severed connection closes once everything queued went out.
-    if (severing_ && slots_.empty()) ScheduleClose();
+    if (severing_) ScheduleClose();
   } else {
     ArmWrite(true);
     EnsureWriteStallTimer();
@@ -852,9 +803,7 @@ void ServerConnection::Sever() {
   // exists right now — before the connection goes away.
   CompleteAllParked();
   if (guard->conn == nullptr) return;
-  FlushSlots();
-  if (guard->conn == nullptr) return;
-  if (wpos_ >= wbuf_.size() && slots_.empty()) ScheduleClose();
+  StartWrite();  // closes once the queued responses have drained
 }
 
 }  // namespace strata::net

@@ -5,13 +5,13 @@
 // path. The machine is: readable socket -> frame parser (incremental, see
 // net/frame.hpp) -> dispatch -> response queue -> writable socket.
 //
+// The first frame must be a Hello with a matching protocol version; anything
+// else is answered with an error and the connection is severed.
+//
 // Pipelining: a client may send many requests without reading responses.
-// Uncorrelated requests (protocol v1/v2 peers) are answered strictly in
-// arrival order through a slot queue — a parked long-poll Fetch holds its
-// slot and later responses queue behind it. Requests tagged with a v3
-// correlation id skip the queue entirely: their responses are written the
-// moment they are ready (the id tells the client which request completed),
-// so a parked Fetch never delays a pipelined Produce.
+// Each response is written the moment it is ready and echoes its request's
+// correlation id (which tells the client which request completed), so a
+// parked Fetch never delays a pipelined Produce.
 //
 // Long-poll Fetch never blocks a thread: when a fetch finds no data and has
 // wait budget, the connection registers a waiter callback on each broker
@@ -22,12 +22,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,23 +80,15 @@ class ServerConnection {
   [[nodiscard]] EventLoop* loop() const noexcept { return loop_; }
 
  private:
-  /// One queued response for an uncorrelated request: filled when the
-  /// request completes, flushed strictly in arrival order.
-  struct Slot {
-    bool done = false;
-    std::string frame;  // full wire frame, ready to send
-  };
-
-  /// A long-poll Fetch waiting for data: holds its response routing (slot
-  /// or correlation id), the broker waiters it registered, and its deadline
-  /// timer.
+  /// A long-poll Fetch waiting for data: holds its response routing (trace
+  /// and correlation id), the broker waiters it registered, and its
+  /// deadline timer.
   struct ParkedFetch {
     std::uint64_t id = 0;
     FetchRequest req;
     Deadline deadline;
     TraceContext trace;
-    std::optional<std::uint64_t> correlation;
-    std::shared_ptr<Slot> slot;  // null for correlated requests
+    std::uint64_t correlation = 0;
     std::vector<std::pair<std::size_t, ps::Broker::WaiterId>> waiters;
     std::uint64_t timer_id = 0;
   };
@@ -111,8 +101,7 @@ class ServerConnection {
     std::uint64_t id = 0;
     ProduceResponse resp;
     TraceContext trace;
-    std::optional<std::uint64_t> correlation;
-    std::shared_ptr<Slot> slot;  // null for correlated requests
+    std::uint64_t correlation = 0;
     std::uint64_t waiter_id = 0;
     std::uint64_t timer_id = 0;
   };
@@ -135,19 +124,19 @@ class ServerConnection {
   /// Parse and dispatch every complete frame in the read buffer.
   void ProcessBuffer();
   void DispatchFrame(std::string_view payload, const TraceContext& trace,
-                     const std::optional<std::uint64_t>& correlation);
+                     std::uint64_t correlation);
 
   /// Decode, dispatch, and encode one request. The returned status is the
   /// *transport* outcome; application errors travel inside the response.
   /// Sets `*parked` (and leaves `*response` empty) when a Fetch parked.
-  [[nodiscard]] Status HandleRequest(
-      std::string_view payload, const TraceContext& trace,
-      const std::optional<std::uint64_t>& correlation,
-      const std::shared_ptr<Slot>& slot, std::string* response, bool* parked);
-  [[nodiscard]] Status HandleFetch(
-      std::string_view body, const TraceContext& trace,
-      const std::optional<std::uint64_t>& correlation,
-      const std::shared_ptr<Slot>& slot, std::string* out, bool* parked);
+  [[nodiscard]] Status HandleRequest(std::string_view payload,
+                                     const TraceContext& trace,
+                                     std::uint64_t correlation,
+                                     std::string* response, bool* parked);
+  [[nodiscard]] Status HandleFetch(std::string_view body,
+                                   const TraceContext& trace,
+                                   std::uint64_t correlation, std::string* out,
+                                   bool* parked);
 
   /// Re-run every parked fetch after a shard wake-up; completes the ready
   /// ones.
@@ -163,19 +152,15 @@ class ServerConnection {
   /// Park an applied acks=quorum produce on the replication hooks' commit
   /// waiter; the response goes out when the quorum confirms (or Timeout).
   void ParkProduce(const std::string& topic, const ProduceResponse& resp,
-                   const TraceContext& trace,
-                   const std::optional<std::uint64_t>& correlation,
-                   const std::shared_ptr<Slot>& slot);
+                   const TraceContext& trace, std::uint64_t correlation);
   /// Complete one parked produce by id (commit callback or timeout); no-op
   /// when the other of the two already resolved it.
   void FinishParkedProduce(std::uint64_t id, const Status& status);
 
-  /// Frame a response and route it: fill + flush the slot (uncorrelated) or
-  /// append straight to the write buffer (correlated).
+  /// Frame a response, echoing the request's trace and correlation id, and
+  /// append it to the write buffer.
   void QueueResponse(const std::string& payload, const TraceContext& trace,
-                     const std::optional<std::uint64_t>& correlation,
-                     const std::shared_ptr<Slot>& slot);
-  void FlushSlots();
+                     std::uint64_t correlation);
   /// Push the write buffer out; arms EPOLLOUT when the socket backpressures
   /// and schedules the close once a severed connection fully drains.
   void StartWrite();
@@ -201,13 +186,12 @@ class ServerConnection {
   bool closed_ = false;
   bool registered_ = false;
 
-  /// Negotiated protocol version (1 until the client sends Hello). Trace
-  /// blocks go only to v2+ peers; correlation ids are echoed per-frame.
-  std::uint32_t peer_version_ = 1;
+  /// Set by a Hello with a matching version; until then every other request
+  /// is refused and severs the connection.
+  bool hello_done_ = false;
   /// Groups joined through this connection; auto-left on disconnect.
   std::vector<std::pair<std::string, ps::MemberId>> memberships_;
 
-  std::deque<std::shared_ptr<Slot>> slots_;
   std::list<ParkedFetch> parked_;
   std::list<ParkedProduce> parked_produce_;
   std::uint64_t next_parked_id_ = 1;

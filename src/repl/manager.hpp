@@ -7,7 +7,7 @@
 //   * net::ReplicationHooks for the local BrokerServer — gates produces on
 //     leadership (NotLeader re-routes clients), clamps consumer-visible
 //     offsets to the quorum-committed high watermark, parks acks=quorum
-//     produces on commit waiters, and serves the v4 replication api keys
+//     produces on commit waiters, and serves the replication api keys
 //     (ReplicaFetch / ReplicaAck / PromoteLeader / ClusterMeta).
 //   * an active follower — a background thread pull-replicates every topic
 //     this broker does not lead: fetch from the leader at the local log

@@ -36,7 +36,7 @@ TEST_F(AtLeastOnceTest, RetryAfterDroppedAckDuplicatesRecord) {
   remote.metrics = &registry;
   RemoteBroker client(remote);
   // Create the topic and prime the producer's own connection before arming:
-  // the first Send would otherwise connect and negotiate (Hello), and the
+  // the first Send would otherwise connect and say Hello, and the
   // failpoint's single hit must land on the produce, not the handshake.
   ASSERT_TRUE(client.CreateTopic("events", {.partitions = 1}).ok());
   auto producer = client.NewProducer();

@@ -52,11 +52,11 @@ TEST(Frame, EmptyPayloadRoundTrips) {
 TEST(Frame, EveryPayloadBitFlipIsCorruption) {
   const std::string payload = "framed payload under test";
   std::string frame;
-  EncodeFrame(payload, &frame);
+  EncodeFrame(payload, {}, 0, &frame);
 
-  // Flip each bit of the payload section (after the 8-byte header) and
+  // Flip each bit of the payload section (after the fixed header) and
   // confirm the CRC catches it.
-  for (std::size_t byte = 8; byte < frame.size(); ++byte) {
+  for (std::size_t byte = kFrameHeaderBytes; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       SocketPair pair = MakePair();
       std::string mutated = frame;
@@ -72,7 +72,7 @@ TEST(Frame, EveryPayloadBitFlipIsCorruption) {
 
 TEST(Frame, CorruptCrcHeaderIsCorruption) {
   std::string frame;
-  EncodeFrame("payload", &frame);
+  EncodeFrame("payload", {}, 0, &frame);
   frame[4] = static_cast<char>(frame[4] ^ 0x40);  // inside the masked CRC
 
   SocketPair pair = MakePair();
@@ -85,7 +85,7 @@ TEST(Frame, CorruptCrcHeaderIsCorruption) {
 TEST(Frame, ImplausibleLengthRejectedBeforeAllocation) {
   std::string frame;
   codec::PutFixed32(&frame, kMaxFrameBytes + 1);
-  codec::PutFixed32(&frame, 0);
+  frame.resize(kFrameHeaderBytes, '\0');  // CRC, trace, correlation
 
   SocketPair pair = MakePair();
   ASSERT_TRUE(pair.client.WriteAll(frame, After(kTestDeadline)).ok());
@@ -104,7 +104,7 @@ TEST(Frame, PeerCloseSurfacesAsUnavailable) {
 
 TEST(Frame, TruncatedFrameThenCloseSurfacesAsUnavailable) {
   std::string frame;
-  EncodeFrame("payload that will be cut short", &frame);
+  EncodeFrame("payload that will be cut short", {}, 0, &frame);
   SocketPair pair = MakePair();
   ASSERT_TRUE(pair.client
                   .WriteAll(std::string_view(frame).substr(0, frame.size() / 2),
@@ -136,35 +136,39 @@ TEST(Frame, ShutdownUnblocksPendingRead) {
   EXPECT_FALSE(read.ok());
 }
 
-// --- trace-context block (protocol v2) ---------------------------------------
+// --- trace context -----------------------------------------------------------
 
 TEST(Frame, TracedFrameRoundTripsContext) {
   SocketPair pair = MakePair();
   TraceContext trace;
   trace.trace_id = 0x1122334455667788ull;
   trace.parent_span = 0x99aabbccddeeff00ull;
-  ASSERT_TRUE(
-      WriteFrame(&pair.client, "traced payload", After(kTestDeadline), &trace)
-          .ok());
+  const std::uint64_t correlation = 0x0102030405060708ull;
+  ASSERT_TRUE(WriteFrame(&pair.client, "traced payload", After(kTestDeadline),
+                         trace, correlation)
+                  .ok());
 
   std::string received;
   TraceContext decoded;
   decoded.trace_id = 1;  // must be overwritten, not merely left alone
-  ASSERT_TRUE(
-      ReadFrame(&pair.server, &received, After(kTestDeadline), &decoded).ok());
+  std::uint64_t decoded_correlation = 0;
+  ASSERT_TRUE(ReadFrame(&pair.server, &received, After(kTestDeadline),
+                        &decoded, &decoded_correlation)
+                  .ok());
   EXPECT_EQ(received, "traced payload");
   EXPECT_EQ(decoded.trace_id, trace.trace_id);
   EXPECT_EQ(decoded.parent_span, trace.parent_span);
+  EXPECT_EQ(decoded_correlation, correlation);
 }
 
 TEST(Frame, TracedFrameReadableWithoutTraceSink) {
   // A reader that does not care about traces still gets the payload: the
-  // trace block is consumed and the chained CRC still verifies.
+  // trace fields are consumed and the chained CRC still verifies.
   SocketPair pair = MakePair();
   TraceContext trace;
   trace.trace_id = 42;
   ASSERT_TRUE(
-      WriteFrame(&pair.client, "payload", After(kTestDeadline), &trace).ok());
+      WriteFrame(&pair.client, "payload", After(kTestDeadline), trace).ok());
   std::string received;
   ASSERT_TRUE(ReadFrame(&pair.server, &received, After(kTestDeadline)).ok());
   EXPECT_EQ(received, "payload");
@@ -183,14 +187,17 @@ TEST(Frame, UntracedFrameZeroesTraceSink) {
 }
 
 TEST(Frame, UnsampledContextFallsBackToPlainFrame) {
-  // An unsampled context must not spend 16 bytes per frame: the encoder
-  // emits the v1 form, byte-identical to an untraced encode.
+  // An unsampled context travels as zeros in the fixed header: the frame is
+  // byte-identical to one encoded with a default context.
   TraceContext unsampled;
+  unsampled.parent_span = 99;  // meaningless without a trace id
   std::string traced_encode;
-  EncodeFrame("body", unsampled, &traced_encode);
+  EncodeFrame("body", unsampled, 5, &traced_encode);
   std::string plain_encode;
-  EncodeFrame("body", &plain_encode);
+  EncodeFrame("body", {}, 5, &plain_encode);
   EXPECT_EQ(traced_encode, plain_encode);
+  ASSERT_EQ(plain_encode.size(), kFrameHeaderBytes + 4);
+  EXPECT_EQ(plain_encode.substr(8, 16), std::string(16, '\0'));
 }
 
 TEST(Frame, EveryTraceBlockBitFlipIsCorruption) {
@@ -198,11 +205,12 @@ TEST(Frame, EveryTraceBlockBitFlipIsCorruption) {
   trace.trace_id = 0xdeadbeef;
   trace.parent_span = 0xfeedface;
   std::string frame;
-  EncodeFrame("guarded by chained crc", trace, &frame);
+  EncodeFrame("guarded by chained crc", trace, 0x5eed, &frame);
 
-  // The 16-byte trace block sits between the 8-byte header and the payload;
-  // its bits are covered by the frame CRC just like payload bits.
-  for (std::size_t byte = 8; byte < 24; ++byte) {
+  // The 16-byte trace and 8-byte correlation fields sit between the length
+  // and CRC words and the payload; their bits are covered by the frame CRC
+  // just like payload bits.
+  for (std::size_t byte = 8; byte < kFrameHeaderBytes; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       SocketPair pair = MakePair();
       std::string mutated = frame;
@@ -290,7 +298,7 @@ TEST(Protocol, HelloRoundTripAndVersionFloor) {
   EncodeHelloRequest(HelloRequest{kProtocolVersion}, &body);
   HelloRequest req;
   ASSERT_TRUE(DecodeHelloRequest(body, &req).ok());
-  EXPECT_EQ(req.max_version, kProtocolVersion);
+  EXPECT_EQ(req.version, kProtocolVersion);
 
   body.clear();
   EncodeHelloResponse(HelloResponse{2}, &body);
@@ -319,6 +327,50 @@ TEST(Protocol, TruncatedBodiesAlwaysError) {
   }
   CommitOffsetRequest out;
   EXPECT_FALSE(DecodeCommitOffsetRequest(body + "x", &out).ok());
+
+  // Produce: every cut — the missing acks byte included — is Corruption,
+  // and so is an acks value past kQuorum or a trailing byte.
+  ProduceRequest produce;
+  produce.topic = "t";
+  produce.record = ps::Record{"k", "v", 7};
+  produce.acks = ProduceAcks::kQuorum;
+  std::string produce_body;
+  EncodeProduceRequest(produce, &produce_body);
+  ProduceRequest produce_out;
+  for (std::size_t cut = 1; cut <= produce_body.size(); ++cut) {
+    EXPECT_TRUE(DecodeProduceRequest(
+                    std::string_view(produce_body.data(),
+                                     produce_body.size() - cut),
+                    &produce_out)
+                    .IsCorruption())
+        << "cut=" << cut;
+  }
+  std::string bad_acks = produce_body;
+  bad_acks.back() = static_cast<char>(
+      static_cast<std::uint8_t>(ProduceAcks::kQuorum) + 1);
+  EXPECT_TRUE(DecodeProduceRequest(bad_acks, &produce_out).IsCorruption());
+  EXPECT_TRUE(
+      DecodeProduceRequest(produce_body + "x", &produce_out).IsCorruption());
+}
+
+TEST(Protocol, ProduceAcksRoundTrip) {
+  for (ProduceAcks acks : {ProduceAcks::kLeader, ProduceAcks::kQuorum}) {
+    ProduceRequest req;
+    req.topic = "topic";
+    req.record = ps::Record{"key", "value", -3};
+    req.acks = acks;
+    std::string body;
+    EncodeProduceRequest(req, &body);
+    ProduceRequest decoded;
+    decoded.acks = acks == ProduceAcks::kLeader ? ProduceAcks::kQuorum
+                                                : ProduceAcks::kLeader;
+    ASSERT_TRUE(DecodeProduceRequest(body, &decoded).ok());
+    EXPECT_EQ(decoded.acks, acks);
+    EXPECT_EQ(decoded.topic, "topic");
+    EXPECT_EQ(decoded.record.key, "key");
+    EXPECT_EQ(decoded.record.value, "value");
+    EXPECT_EQ(decoded.record.timestamp, -3);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Protocol-downgrade and failure-surface interop tests:
+// Protocol edge and failure-surface interop tests:
 //
-//   * a current (v4) client against brokers pinned to older protocol
-//     versions — v2 (pre-correlation) and v3 (pre-replication) — must
-//     round-trip cleanly, with the repl-aware knobs (bootstrap routing,
-//     acks=quorum) degrading instead of breaking;
+//   * a server that answers Hello with a different protocol version, or
+//     with an error, gives the client a final error naming both versions —
+//     no retries;
+//   * a response echoing the wrong correlation id is a transport fault: the
+//     call fails and the client closes the connection;
 //   * pipelined correlated produces across a connection the server severs
 //     mid-stream (net.server.dispatch failpoint) must recover with
 //     at-least-once semantics and matching correlation ids;
@@ -13,9 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <optional>
+#include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fs.hpp"
@@ -37,74 +39,118 @@ class InteropTest : public ::testing::Test {
   void TearDown() override { fault::DeactivateAll(); }
 };
 
-TEST_F(InteropTest, V4ClientRoundTripsAgainstV2Server) {
-  ps::Broker broker;
-  BrokerServerOptions options;
-  options.max_protocol_version = 2;  // emulate a pre-correlation build
-  BrokerServer server(&broker, options);
-  ASSERT_TRUE(server.Start().ok());
+/// A fake broker on a ListenSocket: accepts one connection and hands it to
+/// `serve` on its own thread.
+class FakeServer {
+ public:
+  explicit FakeServer(std::function<void(Socket*)> serve)
+      : listener_(std::move(ListenSocket::Listen("127.0.0.1", 0)).value()),
+        port_(listener_.port()),
+        thread_([this, serve = std::move(serve)] {
+          auto socket = listener_.Accept(After(5s));
+          if (socket.ok()) serve(&*socket);
+        }) {}
+  ~FakeServer() { Join(); }
 
-  RemoteOptions remote;
-  remote.port = server.port();
-  RemoteBroker client(remote);
-  ASSERT_TRUE(client.CreateTopic("events", {.partitions = 1}).ok());
-  auto producer = client.NewProducer();
-  ASSERT_TRUE(producer.ok());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        (*producer)->Send("events", "k", "v" + std::to_string(i), 0).ok());
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  void Join() {
+    if (thread_.joinable()) thread_.join();
   }
-  auto consumer = client.NewConsumer("events", {});
-  ASSERT_TRUE(consumer.ok());
-  auto records = (*consumer)->Poll(1s);
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 5u);
 
-  // The negotiation really clamped: the connection speaks v2, not v4.
-  ClientConnection conn(remote);
-  std::string response;
-  MetadataRequest req;
-  req.topic = "events";
-  std::string body;
-  EncodeMetadataRequest(req, &body);
-  ASSERT_TRUE(conn.Call(ApiKey::kMetadata, body, &response).ok());
-  EXPECT_EQ(conn.server_version(), 2u);
+ private:
+  ListenSocket listener_;
+  std::uint16_t port_;
+  std::thread thread_;
+};
 
-  server.Stop();
+/// Reads one request frame and answers it with `status` + `body`, echoing
+/// the request's correlation id plus `correlation_skew`.
+void Answer(Socket* socket, const Status& status, std::string_view body,
+            std::uint64_t correlation_skew = 0) {
+  std::string request;
+  std::uint64_t correlation = 0;
+  ASSERT_TRUE(
+      ReadFrame(socket, &request, After(5s), nullptr, &correlation).ok());
+  std::string payload;
+  EncodeResponse(status, body, &payload);
+  ASSERT_TRUE(WriteFrame(socket, payload, After(5s), {},
+                         correlation + correlation_skew)
+                  .ok());
 }
 
-TEST_F(InteropTest, ReplAwareClientDegradesAgainstPreReplBroker) {
-  ps::Broker broker;
-  BrokerServerOptions options;
-  options.max_protocol_version = 3;  // pre-repl build: no v4, no repl keys
-  BrokerServer server(&broker, options);
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(broker.CreateTopic("events", {.partitions = 1}).ok());
+double CounterValue(obs::MetricsRegistry& registry, const std::string& name) {
+  return registry.Snapshot().Value(name).value_or(0);
+}
 
-  // Fully repl-configured client: bootstrap list, quorum acks. Against a
-  // pre-repl broker the produce body downgrades to the legacy layout
-  // (leader acks) and the leader refresh degrades to "stay put".
-  RemoteOptions remote;
-  remote.bootstrap = {{"127.0.0.1", server.port()}};
-  remote.acks = ProduceAcks::kQuorum;
-  remote.cluster_refresh_backoff = 10ms;
-  RemoteProducer producer(remote);
-  for (int i = 0; i < 5; ++i) {
-    auto sent = producer.Send("events", "k", "v" + std::to_string(i), 0);
-    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+TEST_F(InteropTest, VersionMismatchIsFinalAndNamesBothVersions) {
+  const std::string theirs = "v" + std::to_string(kProtocolVersion + 1);
+  const std::string ours = "v" + std::to_string(kProtocolVersion);
+  // A server speaking another version either says so in an error response
+  // (what BrokerServer does) or answers Hello with its own version.
+  std::string other_hello;
+  EncodeHelloResponse(HelloResponse{kProtocolVersion + 1}, &other_hello);
+  const std::vector<std::pair<Status, std::string>> answers = {
+      {Status::InvalidArgument("protocol version mismatch: client speaks " +
+                               ours + ", server speaks " + theirs),
+       ""},
+      {Status::Ok(), other_hello},
+  };
+  for (const auto& [status, body] : answers) {
+    FakeServer fake([&](Socket* socket) { Answer(socket, status, body); });
+
+    obs::MetricsRegistry registry;
+    RemoteOptions remote;
+    remote.port = fake.port();
+    remote.max_retries = 3;
+    remote.backoff_initial = 1ms;
+    remote.metrics = &registry;
+    ClientConnection conn(remote);
+    std::string request_body;
+    EncodeMetadataRequest({}, &request_body);
+    std::string response;
+    const Status called = conn.Call(ApiKey::kMetadata, request_body, &response);
+    fake.Join();
+
+    EXPECT_EQ(called.code(), StatusCode::kInvalidArgument)
+        << called.ToString();
+    EXPECT_NE(called.message().find(ours), std::string::npos)
+        << called.ToString();
+    EXPECT_NE(called.message().find(theirs), std::string::npos)
+        << called.ToString();
+    EXPECT_EQ(CounterValue(registry, "net.client.retries"), 0);
+    EXPECT_EQ(CounterValue(registry, "net.client.connects"), 1);
   }
-  auto log = broker.GetLog("events", 0);
-  ASSERT_TRUE(log.ok());
-  EXPECT_EQ((*log)->EndOffset(), 5);
+}
 
-  // The consumer side of the same configuration also just works.
-  auto consumer = RemoteConsumer::Create(remote, "events");
-  ASSERT_TRUE(consumer.ok());
-  auto records = (*consumer)->Poll(1s);
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 5u);
+TEST_F(InteropTest, WrongCorrelationIdIsATransportFault) {
+  Status after_bad_answer = Status::Ok();
+  FakeServer fake([&](Socket* socket) {
+    std::string hello;
+    EncodeHelloResponse(HelloResponse{}, &hello);
+    Answer(socket, Status::Ok(), hello);
+    std::string metadata;
+    EncodeMetadataResponse({}, &metadata);
+    Answer(socket, Status::Ok(), metadata, /*correlation_skew=*/1);
+    // The client must drop the connection rather than read on.
+    std::string next;
+    after_bad_answer = ReadFrame(socket, &next, After(5s));
+  });
 
-  server.Stop();
+  RemoteOptions remote;
+  remote.port = fake.port();
+  remote.max_retries = 0;
+  ClientConnection conn(remote);
+  std::string request_body;
+  EncodeMetadataRequest({}, &request_body);
+  std::string response;
+  const Status called = conn.Call(ApiKey::kMetadata, request_body, &response);
+  fake.Join();
+
+  EXPECT_TRUE(called.IsCorruption()) << called.ToString();
+  EXPECT_EQ(called.message().rfind("server: ", 0), std::string::npos)
+      << "a correlation mismatch is a transport fault, not a server answer";
+  EXPECT_EQ(after_bad_answer.code(), StatusCode::kUnavailable)
+      << after_bad_answer.ToString();
 }
 
 TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
@@ -116,24 +162,12 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
   constexpr int kPipelined = 8;
   const auto deadline = After(5s);
 
-  // Raw v4 connection with explicit correlation ids, so requests can be
+  // Raw connection with explicit correlation ids, so requests can be
   // pipelined and responses matched out of band of the client library.
   auto connect = [&]() -> Socket {
     auto socket = Socket::Connect("127.0.0.1", server.port(), After(2s));
     EXPECT_TRUE(socket.ok());
-    HelloRequest hello;
-    std::string body;
-    EncodeHelloRequest(hello, &body);
-    std::string payload;
-    EncodeRequest(ApiKey::kHello, body, &payload);
-    EXPECT_TRUE(WriteFrame(&*socket, payload, deadline).ok());
-    std::string response;
-    EXPECT_TRUE(ReadFrame(&*socket, &response, deadline).ok());
-    std::string_view out;
-    EXPECT_TRUE(DecodeResponse(response, &out).ok());
-    HelloResponse negotiated;
-    EXPECT_TRUE(DecodeHelloResponse(out, &negotiated).ok());
-    EXPECT_EQ(negotiated.version, kProtocolVersion);
+    EXPECT_TRUE(Handshake(&*socket, deadline).ok());
     return std::move(*socket);
   };
 
@@ -146,7 +180,7 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
     std::string payload;
     EncodeRequest(ApiKey::kProduce, body, &payload);
     std::string frame;
-    EncodeFrameEx(payload, nullptr, &correlation, &frame);
+    EncodeFrame(payload, {}, correlation, &frame);
     return frame;
   };
 
@@ -173,13 +207,12 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
   ASSERT_TRUE(socket.WriteAll(burst, deadline).ok());
   std::set<std::uint64_t> answered;
   for (int i = 0; i < kPipelined; ++i) {
-    std::optional<std::uint64_t> correlation;
+    std::uint64_t correlation = 0;
     ASSERT_TRUE(ReadFrame(&socket, &response, deadline, nullptr, &correlation)
                     .ok());
     std::string_view out;
     ASSERT_TRUE(DecodeResponse(response, &out).ok());
-    ASSERT_TRUE(correlation.has_value());
-    answered.insert(*correlation);
+    answered.insert(correlation);
   }
   EXPECT_EQ(answered.size(), static_cast<std::size_t>(kPipelined));
 

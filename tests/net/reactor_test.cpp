@@ -1,8 +1,8 @@
-// Tests for the epoll reactor front-end: the EventLoop itself, request
-// pipelining with correlation ids, v1 interop, long-poll parking (and the
-// regressions the reactor rewrite fixed: accept stalled behind joined
-// handler threads, long-polls spinning on below-retention offsets), and
-// connection churn under concurrency.
+// Tests for the epoll reactor front-end: the EventLoop itself, the
+// mandatory Hello, request pipelining with correlation ids, long-poll
+// parking (and the regressions the reactor rewrite fixed: accept stalled
+// behind joined handler threads, long-polls spinning on below-retention
+// offsets), and connection churn under concurrency.
 #include "net/reactor.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,25 +39,25 @@ ps::Record MakeRecord(const std::string& key, const std::string& value) {
 /// pipeline requests and observe per-frame correlation ids — things the
 /// strict request/response ClientConnection never does.
 struct RawClient {
-  explicit RawClient(std::uint16_t port) {
+  /// Connects and, unless `hello` is false, runs the Hello handshake.
+  explicit RawClient(std::uint16_t port, bool hello = true) {
     auto s = Socket::Connect("127.0.0.1", port, After(5s));
     s.status().OrDie();
     socket = std::move(*s);
+    if (hello) Handshake(&socket, After(5s)).OrDie();
   }
 
-  /// Send one request frame, optionally tagged with a correlation id.
+  /// Send one request frame tagged with a correlation id.
   [[nodiscard]] Status Send(ApiKey api, const std::string& body,
-                            const std::uint64_t* correlation = nullptr) {
+                            std::uint64_t correlation = 0) {
     std::string payload;
     EncodeRequest(api, body, &payload);
-    return WriteFrame(&socket, payload, After(5s), nullptr, correlation);
+    return WriteFrame(&socket, payload, After(5s), {}, correlation);
   }
 
-  /// Read one response frame; fills the echoed correlation id (nullopt on
-  /// uncorrelated frames) and returns the transported Status with `*body`
-  /// set on Ok.
-  [[nodiscard]] Status Recv(std::string* body,
-                            std::optional<std::uint64_t>* correlation,
+  /// Read one response frame; fills the echoed correlation id and returns
+  /// the transported Status with `*body` set on Ok.
+  [[nodiscard]] Status Recv(std::string* body, std::uint64_t* correlation,
                             Deadline deadline) {
     std::string payload;
     if (Status s = ReadFrame(&socket, &payload, deadline, nullptr, correlation);
@@ -71,29 +70,41 @@ struct RawClient {
     return s;
   }
 
-  /// Strict request/response round trip (uncorrelated).
+  /// Strict request/response round trip.
   [[nodiscard]] Status Call(ApiKey api, const std::string& body,
                             std::string* response) {
-    if (Status s = Send(api, body); !s.ok()) return s;
-    std::optional<std::uint64_t> correlation;
+    const std::uint64_t sent = ++last_correlation;
+    if (Status s = Send(api, body, sent); !s.ok()) return s;
+    std::uint64_t correlation = 0;
     Status s = Recv(response, &correlation, After(5s));
-    EXPECT_FALSE(correlation.has_value());
+    EXPECT_EQ(correlation, sent);
     return s;
   }
 
-  [[nodiscard]] std::uint32_t Hello(std::uint32_t max_version) {
-    HelloRequest req;
-    req.max_version = max_version;
+  /// Send a Hello carrying `version`; the transported Status, with the
+  /// server's version in `*answered` on Ok.
+  [[nodiscard]] Status Hello(std::uint32_t version,
+                             std::uint32_t* answered = nullptr) {
     std::string body;
-    EncodeHelloRequest(req, &body);
+    EncodeHelloRequest(HelloRequest{version}, &body);
     std::string resp;
-    if (!Call(ApiKey::kHello, body, &resp).ok()) return 0;
+    STRATA_RETURN_IF_ERROR(Call(ApiKey::kHello, body, &resp));
     HelloResponse hello;
-    if (!DecodeHelloResponse(resp, &hello).ok()) return 0;
-    return hello.version;
+    STRATA_RETURN_IF_ERROR(DecodeHelloResponse(resp, &hello));
+    if (answered != nullptr) *answered = hello.version;
+    return Status::Ok();
+  }
+
+  /// True when the server has closed the connection: the next read ends
+  /// in something other than a timeout.
+  [[nodiscard]] bool Severed() {
+    std::string payload;
+    const Status read = ReadFrame(&socket, &payload, After(5s));
+    return !read.ok() && !read.IsTimeout();
   }
 
   Socket socket;
+  std::uint64_t last_correlation = 0;
 };
 
 std::string FetchBody(const std::string& topic, std::int64_t offset,
@@ -182,7 +193,7 @@ TEST(EventLoop, TimersFireInDeadlineOrderAndCancel) {
   loop.Stop();
 }
 
-// --- Pipelining (protocol v3) ------------------------------------------------
+// --- Hello and pipelining ----------------------------------------------------
 
 struct TestServer {
   explicit TestServer(BrokerServerOptions options = {},
@@ -198,10 +209,55 @@ struct TestServer {
 
 TEST(Reactor, HelloNegotiatesPipeliningVersion) {
   TestServer ts;
-  RawClient client(ts.server.port());
-  EXPECT_EQ(client.Hello(kProtocolVersion), kProtocolVersion);
-  RawClient old_client(ts.server.port());
-  EXPECT_EQ(old_client.Hello(2), 2u);
+  RawClient client(ts.server.port(), /*hello=*/false);
+  std::uint32_t answered = 0;
+  ASSERT_TRUE(client.Hello(kProtocolVersion, &answered).ok());
+  EXPECT_EQ(answered, kProtocolVersion);
+  // The connection is open for business after the Hello.
+  CreateTopicRequest create;
+  create.topic = "t";
+  create.config = {.partitions = 1};
+  std::string body;
+  EncodeCreateTopic(create, &body);
+  std::string resp;
+  EXPECT_TRUE(client.Call(ApiKey::kCreateTopic, body, &resp).ok());
+
+  // Any other version is refused with an error naming both, then severed.
+  RawClient old_client(ts.server.port(), /*hello=*/false);
+  const Status hello = old_client.Hello(kProtocolVersion - 1);
+  EXPECT_EQ(hello.code(), StatusCode::kInvalidArgument) << hello.ToString();
+  EXPECT_NE(hello.message().find("v" + std::to_string(kProtocolVersion - 1)),
+            std::string::npos)
+      << hello.ToString();
+  EXPECT_NE(hello.message().find("v" + std::to_string(kProtocolVersion)),
+            std::string::npos)
+      << hello.ToString();
+  EXPECT_TRUE(old_client.Severed());
+}
+
+TEST(Reactor, RequestBeforeHelloIsRefusedThenSevered) {
+  TestServer ts;
+  ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
+  RawClient client(ts.server.port(), /*hello=*/false);
+
+  const std::uint64_t produce_id = 5;
+  ASSERT_TRUE(
+      client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v"), produce_id)
+          .ok());
+  std::string body;
+  std::uint64_t correlation = 0;
+  const Status refused = client.Recv(&body, &correlation, After(5s));
+  EXPECT_EQ(correlation, produce_id);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_NE(refused.message().find("Hello required"), std::string::npos)
+      << refused.ToString();
+  EXPECT_TRUE(client.Severed());
+
+  // The refused request was never applied.
+  auto log = ts.broker.GetLog("t", 0);
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ((*log)->EndOffset(), 0);
 }
 
 // The point of the reactor rewrite, end to end: a long-poll Fetch parked on
@@ -213,20 +269,19 @@ TEST(Reactor, ParkedFetchDoesNotBlockPipelinedProduce) {
   ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
 
   RawClient client(ts.server.port());
-  ASSERT_EQ(client.Hello(kProtocolVersion), kProtocolVersion);
 
   const std::uint64_t fetch_id = 7;
   const std::uint64_t produce_id = 9;
   ASSERT_TRUE(
-      client.Send(ApiKey::kFetch, FetchBody("t", 0, 2'000'000), &fetch_id)
+      client.Send(ApiKey::kFetch, FetchBody("t", 0, 2'000'000), fetch_id)
           .ok());
   ASSERT_TRUE(
-      client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v"), &produce_id)
+      client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v"), produce_id)
           .ok());
 
   // The produce response overtakes the parked fetch.
   std::string body;
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   ASSERT_TRUE(client.Recv(&body, &correlation, After(5s)).ok());
   ASSERT_EQ(correlation, produce_id);
   ProduceResponse produced;
@@ -241,54 +296,6 @@ TEST(Reactor, ParkedFetchDoesNotBlockPipelinedProduce) {
   ASSERT_EQ(fetched.entries.size(), 1u);
   ASSERT_EQ(fetched.entries[0].records.size(), 1u);
   EXPECT_EQ(fetched.entries[0].records[0].value, "v");
-}
-
-// Uncorrelated (v1/v2) pipelined requests keep strict request-order
-// responses even when an earlier one parks: the pipelined produce's
-// response queues behind the fetch's slot until the fetch completes.
-TEST(Reactor, UncorrelatedResponsesStayInRequestOrder) {
-  TestServer ts;
-  ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
-
-  RawClient client(ts.server.port());
-  ASSERT_TRUE(
-      client.Send(ApiKey::kFetch, FetchBody("t", 0, 2'000'000)).ok());
-  ASSERT_TRUE(client.Send(ApiKey::kProduce, ProduceBody("t", "k", "v")).ok());
-
-  std::string body;
-  std::optional<std::uint64_t> correlation;
-  ASSERT_TRUE(client.Recv(&body, &correlation, After(5s)).ok());
-  EXPECT_FALSE(correlation.has_value());
-  FetchResponse fetched;  // first response answers the first request
-  ASSERT_TRUE(DecodeFetchResponse(body, &fetched).ok());
-  ASSERT_FALSE(fetched.empty());
-
-  ASSERT_TRUE(client.Recv(&body, &correlation, After(5s)).ok());
-  ProduceResponse produced;
-  ASSERT_TRUE(DecodeProduceResponse(body, &produced).ok());
-  EXPECT_EQ(produced.offset, 0);
-}
-
-// Acceptance: a v1 client (no Hello, plain frames) still interoperates.
-TEST(Reactor, V1ClientWithoutHelloInterops) {
-  TestServer ts;
-  RawClient client(ts.server.port());
-
-  CreateTopicRequest create;
-  create.topic = "t";
-  create.config = {.partitions = 1};
-  std::string body;
-  EncodeCreateTopic(create, &body);
-  std::string resp;
-  ASSERT_TRUE(client.Call(ApiKey::kCreateTopic, body, &resp).ok());
-  ASSERT_TRUE(
-      client.Call(ApiKey::kProduce, ProduceBody("t", "k", "v1"), &resp).ok());
-  ASSERT_TRUE(client.Call(ApiKey::kFetch, FetchBody("t", 0, 0), &resp).ok());
-  FetchResponse fetched;
-  ASSERT_TRUE(DecodeFetchResponse(resp, &fetched).ok());
-  ASSERT_EQ(fetched.entries.size(), 1u);
-  ASSERT_EQ(fetched.entries[0].records.size(), 1u);
-  EXPECT_EQ(fetched.entries[0].records[0].value, "v1");
 }
 
 // Regression (thread-per-connection bug): ReapFinishedLocked joined handler
@@ -322,7 +329,7 @@ TEST(Reactor, AcceptAndDispatchNotStalledBehindParkedLongPoll) {
   // The parked fetch still completes once its topic gets data.
   ASSERT_TRUE(ts.broker.Produce("t", MakeRecord("k", "woken")).ok());
   std::string body;
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   ASSERT_TRUE(parked.Recv(&body, &correlation, After(5s)).ok());
   FetchResponse fetched;
   ASSERT_TRUE(DecodeFetchResponse(body, &fetched).ok());
@@ -367,7 +374,7 @@ TEST(Reactor, ParkedFetchWaitsOnHealedOffsets) {
       client.Send(ApiKey::kFetch, FetchBody("t", 8, 3'000'000)).ok());
   std::this_thread::sleep_for(50ms);
   ASSERT_TRUE(ts.broker.Produce("t", MakeRecord("", "fresh")).ok());
-  std::optional<std::uint64_t> correlation;
+  std::uint64_t correlation = 0;
   ASSERT_TRUE(client.Recv(&resp, &correlation, After(5s)).ok());
   ASSERT_TRUE(DecodeFetchResponse(resp, &fetched).ok());
   ASSERT_FALSE(fetched.empty());
@@ -389,28 +396,26 @@ TEST(Reactor, SeveredConnectionCompletesParkedFetches) {
   ASSERT_TRUE(ts.broker.CreateTopic("t", {.partitions = 1}).ok());
 
   RawClient client(ts.server.port());
-  ASSERT_EQ(client.Hello(kProtocolVersion), kProtocolVersion);
 
   const std::uint64_t fetch_id = 1;
   const std::uint64_t bad_id = 2;
   ASSERT_TRUE(
-      client.Send(ApiKey::kFetch, FetchBody("t", 0, 5'000'000), &fetch_id)
+      client.Send(ApiKey::kFetch, FetchBody("t", 0, 5'000'000), fetch_id)
           .ok());
   std::this_thread::sleep_for(50ms);
-  ASSERT_TRUE(client.Send(ApiKey::kProduce, "garbage", &bad_id).ok());
+  ASSERT_TRUE(client.Send(ApiKey::kProduce, "garbage", bad_id).ok());
 
   bool saw_fetch = false;
   bool saw_error = false;
   for (int i = 0; i < 2; ++i) {
     std::string body;
-    std::optional<std::uint64_t> correlation;
+    std::uint64_t correlation = 0;
     Status s = client.Recv(&body, &correlation, After(5s));
-    ASSERT_TRUE(correlation.has_value());
-    if (*correlation == fetch_id) {
+    if (correlation == fetch_id) {
       ASSERT_TRUE(s.ok());
       saw_fetch = true;  // completed early (empty) instead of waiting 5s
     } else {
-      ASSERT_EQ(*correlation, bad_id);
+      ASSERT_EQ(correlation, bad_id);
       EXPECT_TRUE(s.IsCorruption());
       saw_error = true;
     }
@@ -419,11 +424,7 @@ TEST(Reactor, SeveredConnectionCompletesParkedFetches) {
   EXPECT_TRUE(saw_error);
 
   // ... and then the connection is gone.
-  std::string body;
-  std::optional<std::uint64_t> correlation;
-  Status read = client.Recv(&body, &correlation, After(5s));
-  EXPECT_FALSE(read.ok());
-  EXPECT_FALSE(read.IsTimeout());
+  EXPECT_TRUE(client.Severed());
 }
 
 // Stop() while clients are mid-connect and mid-long-poll: no hangs, no
@@ -444,7 +445,10 @@ TEST(Reactor, StopDuringAcceptAndParkedFetchChurn) {
         EncodeRequest(ApiKey::kFetch, FetchBody("t", 0, 2'000'000), &payload);
         if (i % 2 == 0) {
           // Half the clients long-poll; Stop() must sever them promptly.
-          if (!WriteFrame(&*socket, payload, After(200ms)).ok()) continue;
+          if (!Handshake(&*socket, After(200ms)).ok() ||
+              !WriteFrame(&*socket, payload, After(200ms)).ok()) {
+            continue;
+          }
           std::string response;
           (void)ReadFrame(&*socket, &response, After(3s));
         }

@@ -326,6 +326,7 @@ TEST(BrokerServer, CorruptFrameIsAnsweredThenSevered) {
   TestServer ts;
   auto socket = Socket::Connect("127.0.0.1", ts.server.port(), After(5s));
   ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(Handshake(&*socket, After(5s)).ok());
 
   // A valid request envelope carrying a garbage Produce body.
   std::string payload;
@@ -366,6 +367,42 @@ TEST(BrokerServer, ServerMetricsAreRecorded) {
       1.0);
   EXPECT_GT(snapshot.Value("net.server.bytes_in").value_or(0), 0.0);
   EXPECT_GT(snapshot.Value("net.server.bytes_out").value_or(0), 0.0);
+
+  // The byte counters cover whole frames, fixed header included: a raw
+  // client's Hello plus N requests add exactly the bytes it wrote, and the
+  // responses exactly the bytes it read.
+  const double in_before = snapshot.Value("net.server.bytes_in").value_or(0);
+  const double out_before = snapshot.Value("net.server.bytes_out").value_or(0);
+  constexpr int kRequests = 5;
+  std::string hello_body;
+  EncodeHelloRequest(HelloRequest{}, &hello_body);
+  std::string payload;
+  EncodeRequest(ApiKey::kHello, hello_body, &payload);
+  std::string written;
+  EncodeFrame(payload, {}, 0, &written);
+  std::string metadata_body;
+  EncodeMetadataRequest(MetadataRequest{"m"}, &metadata_body);
+  payload.clear();
+  EncodeRequest(ApiKey::kMetadata, metadata_body, &payload);
+  for (int i = 1; i <= kRequests; ++i) {
+    EncodeFrame(payload, {}, static_cast<std::uint64_t>(i), &written);
+  }
+  auto socket = Socket::Connect("127.0.0.1", server.port(), After(5s));
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket->WriteAll(written, After(5s)).ok());
+  std::size_t read_bytes = 0;
+  for (int i = 0; i <= kRequests; ++i) {
+    std::string response;
+    ASSERT_TRUE(ReadFrame(&*socket, &response, After(5s)).ok());
+    std::string_view body;
+    ASSERT_TRUE(DecodeResponse(response, &body).ok());
+    read_bytes += kFrameHeaderBytes + response.size();
+  }
+  snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Value("net.server.bytes_in").value_or(0) - in_before,
+            static_cast<double>(written.size()));
+  EXPECT_EQ(snapshot.Value("net.server.bytes_out").value_or(0) - out_before,
+            static_cast<double>(read_bytes));
   server.Stop();
 }
 
