@@ -204,6 +204,136 @@ TEST(QueryIntrospection, ToDotRendersDag) {
   EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
+// ------------------------------------------------- golden keyed-plan shapes
+//
+// ToDot lists operators in creation order with their names and labels every
+// edge with its stream name. Checkpoint manifests (operator names),
+// spe.stream.* metrics (stream names) and per-layer benchmark lookups
+// (`stage[i]`, `stage.router`, `stage.union`) all depend on this shape.
+
+KeyFn LayerKey() {
+  return [](const Tuple& t) { return std::to_string(t.layer); };
+}
+
+std::string FlatMapPlan(int parallelism) {
+  Query query;
+  auto src = query.AddSource("src", VectorSource({}));
+  auto out = query.AddFlatMap(
+      "fm", src, [](const Tuple& t) { return std::vector<Tuple>{t}; },
+      parallelism, LayerKey());
+  query.AddSink("sink", out, [](const Tuple&) {});
+  return query.ToDot();
+}
+
+std::string AggregatePlan(int parallelism) {
+  Query query;
+  auto src = query.AddSource("src", VectorSource({}));
+  auto out = query.AddAggregate(
+      "agg", src, testutil::CountAggregate(10, 10, LayerKey()), parallelism);
+  query.AddSink("sink", out, [](const Tuple&) {});
+  return query.ToDot();
+}
+
+std::string JoinPlan(int parallelism) {
+  Query query;
+  auto left = query.AddSource("left", VectorSource({}));
+  auto right = query.AddSource("right", VectorSource({}));
+  JoinSpec spec;
+  spec.key_left = LayerKey();
+  spec.key_right = LayerKey();
+  auto out = query.AddJoin("join", left, right, spec, parallelism);
+  query.AddSink("sink", out, [](const Tuple&) {});
+  return query.ToDot();
+}
+
+constexpr const char* kDotHeader =
+    "digraph query {\n  rankdir=LR;\n  node [shape=box];\n";
+
+TEST(QueryPlanShape, ParallelFlatMap) {
+  EXPECT_EQ(FlatMapPlan(3), std::string(kDotHeader) + R"(  op0 [label="src"];
+  op1 [label="fm.router"];
+  op2 [label="fm.union"];
+  op3 [label="fm[0]"];
+  op4 [label="fm[1]"];
+  op5 [label="fm[2]"];
+  op6 [label="sink"];
+  op0 -> op1 [label="src.out"];
+  op3 -> op2 [label="fm.shard0.out"];
+  op4 -> op2 [label="fm.shard1.out"];
+  op5 -> op2 [label="fm.shard2.out"];
+  op1 -> op3 [label="fm.shard0"];
+  op1 -> op4 [label="fm.shard1"];
+  op1 -> op5 [label="fm.shard2"];
+  op2 -> op6 [label="fm.out"];
+}
+)");
+}
+
+TEST(QueryPlanShape, ShardedAggregate) {
+  EXPECT_EQ(AggregatePlan(2), std::string(kDotHeader) + R"(  op0 [label="src"];
+  op1 [label="agg.router"];
+  op2 [label="agg.union"];
+  op3 [label="agg[0]"];
+  op4 [label="agg[1]"];
+  op5 [label="sink"];
+  op0 -> op1 [label="src.out"];
+  op3 -> op2 [label="agg.shard0.out"];
+  op4 -> op2 [label="agg.shard1.out"];
+  op1 -> op3 [label="agg.shard0"];
+  op1 -> op4 [label="agg.shard1"];
+  op2 -> op5 [label="agg.out"];
+}
+)");
+}
+
+TEST(QueryPlanShape, ShardedJoin) {
+  EXPECT_EQ(JoinPlan(2), std::string(kDotHeader) + R"(  op0 [label="left"];
+  op1 [label="right"];
+  op2 [label="join.router.left"];
+  op3 [label="join.router.right"];
+  op4 [label="join.union"];
+  op5 [label="join[0]"];
+  op6 [label="join[1]"];
+  op7 [label="sink"];
+  op0 -> op2 [label="left.out"];
+  op1 -> op3 [label="right.out"];
+  op5 -> op4 [label="join.shard0.out"];
+  op6 -> op4 [label="join.shard1.out"];
+  op2 -> op5 [label="join.left0"];
+  op3 -> op5 [label="join.right0"];
+  op2 -> op6 [label="join.left1"];
+  op3 -> op6 [label="join.right1"];
+  op4 -> op7 [label="join.out"];
+}
+)");
+}
+
+TEST(QueryPlanShape, DegreeOneIsASingleDirectlyWiredInstance) {
+  EXPECT_EQ(FlatMapPlan(1), std::string(kDotHeader) + R"(  op0 [label="src"];
+  op1 [label="fm"];
+  op2 [label="sink"];
+  op0 -> op1 [label="src.out"];
+  op1 -> op2 [label="fm.out"];
+}
+)");
+  EXPECT_EQ(AggregatePlan(1), std::string(kDotHeader) + R"(  op0 [label="src"];
+  op1 [label="agg"];
+  op2 [label="sink"];
+  op0 -> op1 [label="src.out"];
+  op1 -> op2 [label="agg.out"];
+}
+)");
+  EXPECT_EQ(JoinPlan(1), std::string(kDotHeader) + R"(  op0 [label="left"];
+  op1 [label="right"];
+  op2 [label="join"];
+  op3 [label="sink"];
+  op0 -> op2 [label="left.out"];
+  op1 -> op2 [label="right.out"];
+  op2 -> op3 [label="join.out"];
+}
+)");
+}
+
 TEST(QueryStats, OperatorCountsAllInstances) {
   Query query;
   auto src = query.AddSource("src", VectorSource({}));
