@@ -1,6 +1,5 @@
 #include "spe/operator.hpp"
 
-#include <functional>
 #include <iterator>
 
 #include "common/codec.hpp"
@@ -301,7 +300,6 @@ void FilterOperator::Run() {
 // ------------------------------------------------------------------ Router
 
 void RouterOperator::Run() {
-  std::hash<std::string> hasher;
   const std::size_t n = outputs_.size();
   bool open = true;
   while (open) {
@@ -318,7 +316,7 @@ void RouterOperator::Run() {
       const auto key = Guarded([&] { return key_(tuple); });
       if (!key.has_value()) continue;
       if (span.active()) tuple.trace = span.EmitContext();
-      if (!(open = EmitTo(hasher(*key) % n, std::move(tuple)))) break;
+      if (!(open = EmitTo(ShardOf(*key, n), std::move(tuple)))) break;
     }
     if (open) MaybeFlush(inputs_[0]->depth() == 0);
   }

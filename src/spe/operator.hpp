@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -496,8 +497,22 @@ class FilterOperator final : public Operator {
   FilterFn fn_;
 };
 
-/// Hash-routes tuples to one of N outputs by key (shard router for parallel
-/// stateless stages; tuples with equal keys go to the same instance).
+/// Instance of a keyed-parallel stage with `n` instances that owns `key`.
+/// The one bucket function: RouterOperator routes by it and checkpoint
+/// re-sharding re-buckets state by it, so restored state lands on the
+/// instance that receives its key's future tuples.
+[[nodiscard]] inline std::size_t ShardOf(const std::string& key,
+                                         std::size_t n) {
+  return std::hash<std::string>{}(key) % n;
+}
+
+/// Operator name of instance `i` of keyed-parallel stage `base`.
+[[nodiscard]] inline std::string InstanceName(const std::string& base, int i) {
+  return base + "[" + std::to_string(i) + "]";
+}
+
+/// Hash-routes tuples to one of N outputs by ShardOf(key, N) (tuples with
+/// equal keys go to the same instance of a keyed-parallel stage).
 class RouterOperator final : public Operator {
  public:
   [[nodiscard]] const char* kind() const noexcept override {

@@ -1,7 +1,6 @@
 #include "spe/plan_rewrite.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -260,10 +259,10 @@ struct WindowRecord {
 }  // namespace
 
 Status ReshardAggregateSnapshots(const std::vector<std::string>& old_blobs,
-                                 std::size_t new_shards,
+                                 std::size_t parallelism,
                                  std::vector<std::string>* new_blobs) {
-  if (new_shards == 0) {
-    return Status::InvalidArgument("reshard: new_shards must be > 0");
+  if (parallelism == 0) {
+    return Status::InvalidArgument("reshard: parallelism must be > 0");
   }
   // Merge every window into one canonically-ordered map. A (start, key)
   // pair living in two old blobs means the old shards disagreed about key
@@ -312,23 +311,20 @@ Status ReshardAggregateSnapshots(const std::vector<std::string>& old_blobs,
     }
   }
 
-  new_blobs->assign(new_shards, std::string());
+  new_blobs->assign(parallelism, std::string());
   if (!any_state) return Status::Ok();  // all-fresh in, all-fresh out
 
-  // Re-bucket with the router's hash so every window lands on the shard
-  // that will receive its key's future tuples.
-  std::hash<std::string> hasher;
-  std::vector<std::uint64_t> shard_counts(new_shards, 0);
+  std::vector<std::uint64_t> shard_counts(parallelism, 0);
   for (const auto& [key, window] : merged) {
-    ++shard_counts[hasher(key.second) % new_shards];
+    ++shard_counts[ShardOf(key.second, parallelism)];
   }
-  for (std::size_t s = 0; s < new_shards; ++s) {
+  for (std::size_t s = 0; s < parallelism; ++s) {
     std::string* out = &(*new_blobs)[s];
     codec::PutVarint64Signed(out, horizon);  // every shard gets the horizon
     codec::PutVarint64(out, shard_counts[s]);
   }
   for (const auto& [key, window] : merged) {
-    std::string* out = &(*new_blobs)[hasher(key.second) % new_shards];
+    std::string* out = &(*new_blobs)[ShardOf(key.second, parallelism)];
     codec::PutVarint64Signed(out, key.first);
     codec::PutLengthPrefixed(out, key.second);
     codec::PutVarint64Signed(out, window.max_stimulus);
@@ -339,10 +335,10 @@ Status ReshardAggregateSnapshots(const std::vector<std::string>& old_blobs,
 }
 
 Status ReshardJoinSnapshots(const std::vector<std::string>& old_blobs,
-                            std::size_t new_shards,
+                            std::size_t parallelism,
                             std::vector<std::string>* new_blobs) {
-  if (new_shards == 0) {
-    return Status::InvalidArgument("reshard: new_shards must be > 0");
+  if (parallelism == 0) {
+    return Status::InvalidArgument("reshard: parallelism must be > 0");
   }
   struct Entry {
     std::string key;
@@ -387,7 +383,7 @@ Status ReshardJoinSnapshots(const std::vector<std::string>& old_blobs,
     any_state = true;
   }
 
-  new_blobs->assign(new_shards, std::string());
+  new_blobs->assign(parallelism, std::string());
   if (!any_state) return Status::Ok();
 
   // Restore the deque's front-oldest invariant (Evict pops from the front).
@@ -400,21 +396,20 @@ Status ReshardJoinSnapshots(const std::vector<std::string>& old_blobs,
                      });
   }
 
-  std::hash<std::string> hasher;
   std::vector<std::string> bodies[2];
   std::vector<std::uint64_t> counts[2];
   for (std::size_t side = 0; side < 2; ++side) {
-    bodies[side].assign(new_shards, std::string());
-    counts[side].assign(new_shards, 0);
+    bodies[side].assign(parallelism, std::string());
+    counts[side].assign(parallelism, 0);
     for (const Entry& entry : sides[side]) {
-      const std::size_t s = hasher(entry.key) % new_shards;
+      const std::size_t s = ShardOf(entry.key, parallelism);
       std::string* out = &bodies[side][s];
       codec::PutLengthPrefixed(out, entry.key);
       STRATA_RETURN_IF_ERROR(EncodeTupleSnapshot(entry.tuple, out));
       ++counts[side][s];
     }
   }
-  for (std::size_t s = 0; s < new_shards; ++s) {
+  for (std::size_t s = 0; s < parallelism; ++s) {
     std::string* out = &(*new_blobs)[s];
     for (std::size_t side = 0; side < 2; ++side) {
       codec::PutVarint64(out, counts[side][s]);

@@ -1,35 +1,29 @@
-// Plan rewriting for the SPE data plane (ROADMAP item 3, after the stream
-// fusion line of work — Kiselyov et al., "Complete Stream Fusion for
-// Software-Defined Radio" / "Highest-performance Stream Processing").
+// Plan rewriting for the SPE data plane, after the stream fusion line of
+// work (Kiselyov et al., "Complete Stream Fusion for Software-Defined
+// Radio" / "Highest-performance Stream Processing").
 //
-// Two transforms, both applied by Query::Start and both plan-level only
-// (builder code and operator semantics are untouched):
+// Operator fusion (QueryOptions::enable_fusion, applied by Query::Start;
+// builder code and operator semantics are untouched): maximal chains of
+// adjacent stateless operators (FlatMap/Filter, each 1-input/1-output,
+// linked by a stream with exactly one registered producer and one
+// registered consumer) collapse into a single FusedOperator that runs the
+// whole chain per tuple on one thread — the interior streams are never
+// touched, so a fused chain costs zero intermediate queue synchronizations.
+// The absorbed operators never run; the fused worker executes their
+// functions in order and attributes per-stage counts (tuples in/out, user
+// errors, discards) back to them, so spe.operator.* metrics and
+// OperatorStats keep per-stage identity.
 //
-//  1. Operator fusion (QueryOptions::enable_fusion): maximal chains of
-//     adjacent stateless operators (FlatMap/Filter, each 1-input/1-output,
-//     linked by a stream with exactly one registered producer and one
-//     registered consumer) collapse into a single FusedOperator that runs
-//     the whole chain per tuple on one thread — the interior streams are
-//     never touched, so a fused chain costs zero intermediate queue
-//     synchronizations. The absorbed operators never run; the fused worker
-//     executes their functions in order and attributes per-stage counts
-//     (tuples in/out, user errors, discards) back to them, so
-//     spe.operator.* metrics and OperatorStats keep per-stage identity.
-//
-//  2. Keyed data-parallel sharding (the `shards` argument of
-//     Query::AddAggregate / Query::AddJoin): a stateful stage is
-//     partitioned across K instances behind a hash router keyed on the
-//     group-by key, with a union merging the shard outputs. Per-key order
-//     is preserved (a key always hashes to the same shard, and the union
-//     preserves per-input order); cross-key order is not. The helpers
-//     below re-bucket checkpointed shard state so a run restored onto a
-//     different shard count re-hashes every window / join buffer entry to
-//     its new home shard.
+// Shard re-hashing: Query::AddAggregate / Query::AddJoin with parallelism
+// > 1 build a keyed-parallel stage (hash router, `parallelism` instances,
+// union; see Query). The helpers below re-bucket checkpointed instance
+// state by ShardOf, so a run restored at a different parallelism re-hashes
+// every window / join buffer entry to its new home instance.
 //
 // Checkpoint composition: a FusedOperator forwards an epoch barrier as a
 // unit — it flushes the chain's emit buffers, reports one snapshot per
 // constituent operator (under the constituent's registered name), then
-// forwards the barrier once. Keyed shards rely on the existing
+// forwards the barrier once. Keyed-parallel instances rely on the existing
 // router-broadcast / union-alignment barrier rules.
 #pragma once
 
@@ -96,25 +90,24 @@ struct FusionPlan {
 //
 // Both helpers parse the operators' snapshot wire format directly (keys and
 // accumulator payloads stay opaque bytes), so re-sharding never needs the
-// user codecs. The bucket function must match RouterOperator's:
-// std::hash<std::string>{}(key) % shards.
+// user codecs.
 
 /// Re-buckets AggregateOperator snapshots (any old shard count, including a
-/// single unsharded blob) into `new_shards` blobs. Every output blob gets
+/// single unsharded blob) into `parallelism` blobs. Every output blob gets
 /// the max closed-horizon of the inputs: re-opening a window some old shard
 /// already closed and emitted would double-report, so the merged horizon
 /// trades (bounded-lateness) late drops for no duplicates.
 [[nodiscard]] Status ReshardAggregateSnapshots(
-    const std::vector<std::string>& old_blobs, std::size_t new_shards,
+    const std::vector<std::string>& old_blobs, std::size_t parallelism,
     std::vector<std::string>* new_blobs);
 
-/// Re-buckets JoinOperator snapshots into `new_shards` blobs. Per-side
+/// Re-buckets JoinOperator snapshots into `parallelism` blobs. Per-side
 /// buffers are merged in event-time order and every output blob gets the
 /// min per-side watermark of the inputs: eviction is only an optimization
 /// (the |τL-τR| <= window predicate still rejects stale pairs), so the
 /// conservative watermark can never drop a matchable pair.
 [[nodiscard]] Status ReshardJoinSnapshots(
-    const std::vector<std::string>& old_blobs, std::size_t new_shards,
+    const std::vector<std::string>& old_blobs, std::size_t parallelism,
     std::vector<std::string>* new_blobs);
 
 }  // namespace strata::spe

@@ -1,5 +1,7 @@
 #include "spe/query.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <map>
 #include <string_view>
 
@@ -29,21 +31,31 @@ StreamPtr Query::NewStream(const std::string& name) {
   return stream;
 }
 
-void Query::Consume(const StreamPtr& stream) {
-  if (!stream) throw std::invalid_argument("Query: null input stream");
-  if (!consumed_.insert(stream.get()).second) {
-    throw std::logic_error("Query: stream '" + stream->name() +
-                           "' already has a consumer (use AddSplit)");
+void Query::Consume(const std::vector<StreamPtr>& streams) {
+  for (auto it = streams.begin(); it != streams.end(); ++it) {
+    if (!*it) throw std::invalid_argument("Query: null input stream");
+    if (consumed_.count(it->get()) > 0 ||
+        std::find(streams.begin(), it, *it) != it) {
+      throw std::logic_error("Query: stream '" + (*it)->name() +
+                             "' already has a consumer (use AddSplit)");
+    }
   }
+  for (const StreamPtr& stream : streams) consumed_.insert(stream.get());
+}
+
+Operator* Query::Adopt(std::unique_ptr<Operator> op) {
+  if (started_) throw std::logic_error("Query: cannot add operators after Start");
+  Operator* raw = op.get();
+  std::lock_guard lock(build_mu_);
+  operators_.push_back(std::move(op));
+  return raw;
 }
 
 template <typename Op, typename... Args>
 Op* Query::NewOperator(Args&&... args) {
-  if (started_) throw std::logic_error("Query: cannot add operators after Start");
   auto op = std::make_unique<Op>(std::forward<Args>(args)...);
   Op* raw = op.get();
-  std::lock_guard lock(build_mu_);
-  operators_.push_back(std::move(op));
+  Adopt(std::move(op));
   return raw;
 }
 
@@ -61,37 +73,62 @@ StreamPtr Query::AddBatchSource(const std::string& name, BatchSourceFn fn) {
   return out;
 }
 
-StreamPtr Query::AddFlatMap(const std::string& name, StreamPtr in,
-                            FlatMapFn fn, int parallelism, KeyFn shard_key) {
+StreamPtr Query::AddKeyedStage(
+    const std::string& name, std::vector<StreamPtr> ins,
+    std::vector<KeyFn> keys, int parallelism,
+    const std::function<std::unique_ptr<Operator>(const std::string&)>&
+        make_instance) {
   if (parallelism < 1) {
-    throw std::invalid_argument("Query: parallelism must be >= 1");
+    throw std::invalid_argument("Query: '" + name +
+                                "': parallelism must be >= 1");
   }
-  Consume(in);
+  if (parallelism > 1 &&
+      std::any_of(keys.begin(), keys.end(), [](const KeyFn& key) {
+        return !key;
+      })) {
+    throw std::invalid_argument("Query: '" + name +
+                                "': parallelism > 1 requires a key per input");
+  }
+  // Construct every instance first: an operator constructor that rejects
+  // its spec then throws before the query is touched.
+  std::vector<std::unique_ptr<Operator>> instances;
+  for (int i = 0; i < parallelism; ++i) {
+    instances.push_back(
+        make_instance(parallelism == 1 ? name : InstanceName(name, i)));
+  }
+  Consume(ins);
   if (parallelism == 1) {
-    auto* op =
-        NewOperator<FlatMapOperator>(name, options_.clock, std::move(fn));
-    op->AddInput(std::move(in));
+    Operator* op = Adopt(std::move(instances[0]));
+    for (StreamPtr& in : ins) op->AddInput(std::move(in));
     StreamPtr out = NewStream(name + ".out");
     op->AddOutput(out);
     return out;
   }
 
-  if (!shard_key) {
-    throw std::invalid_argument(
-        "Query: parallel FlatMap requires a shard_key");
+  // One router per input; a join's two sides are told apart by suffix.
+  const bool two_sided = ins.size() == 2;
+  static constexpr const char* kSide[] = {"left", "right"};
+  std::vector<RouterOperator*> routers;
+  for (std::size_t side = 0; side < ins.size(); ++side) {
+    const std::string suffix =
+        two_sided ? std::string(".") + kSide[side] : std::string();
+    auto* router = NewOperator<RouterOperator>(
+        name + ".router" + suffix, options_.clock, std::move(keys[side]));
+    router->AddInput(std::move(ins[side]));
+    routers.push_back(router);
   }
-  auto* router = NewOperator<RouterOperator>(name + ".router", options_.clock,
-                                             std::move(shard_key));
-  router->AddInput(std::move(in));
   auto* merger = NewOperator<UnionOperator>(name + ".union", options_.clock);
   for (int i = 0; i < parallelism; ++i) {
-    StreamPtr shard_in = NewStream(name + ".shard" + std::to_string(i));
-    router->AddOutput(shard_in);
-    auto* worker = NewOperator<FlatMapOperator>(
-        name + "[" + std::to_string(i) + "]", options_.clock, fn);
-    worker->AddInput(shard_in);
-    consumed_.insert(shard_in.get());
-    StreamPtr shard_out = NewStream(name + ".shard" + std::to_string(i) + ".out");
+    const std::string index = std::to_string(i);
+    Operator* worker = Adopt(std::move(instances[i]));
+    for (std::size_t side = 0; side < routers.size(); ++side) {
+      StreamPtr shard_in = NewStream(
+          name + "." + (two_sided ? kSide[side] : "shard") + index);
+      routers[side]->AddOutput(shard_in);
+      worker->AddInput(shard_in);
+      consumed_.insert(shard_in.get());
+    }
+    StreamPtr shard_out = NewStream(name + ".shard" + index + ".out");
     worker->AddOutput(shard_out);
     merger->AddInput(shard_out);
     consumed_.insert(shard_out.get());
@@ -101,9 +138,18 @@ StreamPtr Query::AddFlatMap(const std::string& name, StreamPtr in,
   return out;
 }
 
+StreamPtr Query::AddFlatMap(const std::string& name, StreamPtr in,
+                            FlatMapFn fn, int parallelism, KeyFn shard_key) {
+  return AddKeyedStage(
+      name, {std::move(in)}, {std::move(shard_key)}, parallelism,
+      [&](const std::string& instance) {
+        return std::make_unique<FlatMapOperator>(instance, options_.clock, fn);
+      });
+}
+
 StreamPtr Query::AddFilter(const std::string& name, StreamPtr in,
                            FilterFn fn) {
-  Consume(in);
+  Consume({in});
   auto* op = NewOperator<FilterOperator>(name, options_.clock, std::move(fn));
   op->AddInput(std::move(in));
   StreamPtr out = NewStream(name + ".out");
@@ -112,111 +158,39 @@ StreamPtr Query::AddFilter(const std::string& name, StreamPtr in,
 }
 
 StreamPtr Query::AddAggregate(const std::string& name, StreamPtr in,
-                              AggregateSpec spec, int shards) {
-  if (shards < 1) throw std::invalid_argument("Query: shards must be >= 1");
-  Consume(in);
-  {
-    std::lock_guard lock(build_mu_);
-    shard_groups_.push_back({name, /*is_join=*/false, shards});
-  }
-  if (shards == 1) {
-    auto* op =
-        NewOperator<AggregateOperator>(name, options_.clock, std::move(spec));
-    op->AddInput(std::move(in));
-    StreamPtr out = NewStream(name + ".out");
-    op->AddOutput(out);
-    return out;
-  }
-
-  if (!spec.key) {
-    throw std::invalid_argument(
-        "Query: sharded Aggregate requires a group-by key");
-  }
-  auto* router = NewOperator<RouterOperator>(name + ".router", options_.clock,
-                                             spec.key);
-  router->AddInput(std::move(in));
-  auto* merger = NewOperator<UnionOperator>(name + ".union", options_.clock);
-  for (int i = 0; i < shards; ++i) {
-    StreamPtr shard_in = NewStream(name + ".shard" + std::to_string(i));
-    router->AddOutput(shard_in);
-    auto* worker = NewOperator<AggregateOperator>(
-        name + "[" + std::to_string(i) + "]", options_.clock, spec);
-    worker->AddInput(shard_in);
-    consumed_.insert(shard_in.get());
-    StreamPtr shard_out =
-        NewStream(name + ".shard" + std::to_string(i) + ".out");
-    worker->AddOutput(shard_out);
-    merger->AddInput(shard_out);
-    consumed_.insert(shard_out.get());
-  }
-  StreamPtr out = NewStream(name + ".out");
-  merger->AddOutput(out);
+                              AggregateSpec spec, int parallelism) {
+  StreamPtr out = AddKeyedStage(
+      name, {std::move(in)}, {spec.key}, parallelism,
+      [&](const std::string& instance) {
+        return std::make_unique<AggregateOperator>(instance, options_.clock,
+                                                   spec);
+      });
+  std::lock_guard lock(build_mu_);
+  shard_groups_.push_back({name, /*is_join=*/false, parallelism});
   return out;
 }
 
 StreamPtr Query::AddJoin(const std::string& name, StreamPtr left,
-                         StreamPtr right, JoinSpec spec, int shards) {
-  if (shards < 1) throw std::invalid_argument("Query: shards must be >= 1");
-  Consume(left);
-  Consume(right);
-  {
-    std::lock_guard lock(build_mu_);
-    shard_groups_.push_back({name, /*is_join=*/true, shards});
-  }
-  if (shards == 1) {
-    auto* op = NewOperator<JoinOperator>(name, options_.clock, std::move(spec));
-    op->AddInput(std::move(left));
-    op->AddInput(std::move(right));
-    StreamPtr out = NewStream(name + ".out");
-    op->AddOutput(out);
-    return out;
-  }
-
-  if (!spec.key_left || !spec.key_right) {
-    throw std::invalid_argument(
-        "Query: sharded Join requires key_left and key_right");
-  }
-  // Each side gets its own router keyed by its side's group-by key, so a
-  // matching pair (which must agree on key) lands on the same shard.
-  auto* left_router = NewOperator<RouterOperator>(name + ".router.left",
-                                                  options_.clock,
-                                                  spec.key_left);
-  left_router->AddInput(std::move(left));
-  auto* right_router = NewOperator<RouterOperator>(name + ".router.right",
-                                                   options_.clock,
-                                                   spec.key_right);
-  right_router->AddInput(std::move(right));
-  auto* merger = NewOperator<UnionOperator>(name + ".union", options_.clock);
-  for (int i = 0; i < shards; ++i) {
-    StreamPtr left_in = NewStream(name + ".left" + std::to_string(i));
-    left_router->AddOutput(left_in);
-    StreamPtr right_in = NewStream(name + ".right" + std::to_string(i));
-    right_router->AddOutput(right_in);
-    auto* worker = NewOperator<JoinOperator>(
-        name + "[" + std::to_string(i) + "]", options_.clock, spec);
-    worker->AddInput(left_in);  // input order is the [L, R] side order
-    worker->AddInput(right_in);
-    consumed_.insert(left_in.get());
-    consumed_.insert(right_in.get());
-    StreamPtr shard_out =
-        NewStream(name + ".shard" + std::to_string(i) + ".out");
-    worker->AddOutput(shard_out);
-    merger->AddInput(shard_out);
-    consumed_.insert(shard_out.get());
-  }
-  StreamPtr out = NewStream(name + ".out");
-  merger->AddOutput(out);
+                         StreamPtr right, JoinSpec spec, int parallelism) {
+  // Each side is routed by its own group-by key, so a matching pair (which
+  // must agree on key) meets on the same instance.
+  StreamPtr out = AddKeyedStage(
+      name, {std::move(left), std::move(right)},
+      {spec.key_left, spec.key_right}, parallelism,
+      [&](const std::string& instance) {
+        return std::make_unique<JoinOperator>(instance, options_.clock, spec);
+      });
+  std::lock_guard lock(build_mu_);
+  shard_groups_.push_back({name, /*is_join=*/true, parallelism});
   return out;
 }
 
 StreamPtr Query::AddUnion(const std::string& name,
                           std::vector<StreamPtr> ins) {
   if (ins.empty()) throw std::invalid_argument("Query: union of nothing");
+  Consume(ins);
   auto* op = NewOperator<UnionOperator>(name, options_.clock);
-  for (StreamPtr& in : ins) {
-    Consume(in);
-    op->AddInput(std::move(in));
-  }
+  for (StreamPtr& in : ins) op->AddInput(std::move(in));
   StreamPtr out = NewStream(name + ".out");
   op->AddOutput(out);
   return out;
@@ -225,7 +199,7 @@ StreamPtr Query::AddUnion(const std::string& name,
 std::vector<StreamPtr> Query::AddSplit(const std::string& name, StreamPtr in,
                                        int n) {
   if (n < 1) throw std::invalid_argument("Query: split into < 1");
-  Consume(in);
+  Consume({in});
   // A FlatMap that copies each tuple to all outputs.
   auto* op = NewOperator<FlatMapOperator>(
       name, options_.clock,
@@ -243,7 +217,7 @@ std::vector<StreamPtr> Query::AddSplit(const std::string& name, StreamPtr in,
 
 SinkOperator* Query::AddSink(const std::string& name, StreamPtr in,
                              SinkFn fn) {
-  Consume(in);
+  Consume({in});
   auto* op = NewOperator<SinkOperator>(name, options_.clock, std::move(fn));
   op->AddInput(std::move(in));
   return op;
@@ -268,22 +242,16 @@ Status Query::Recover() {
     return manifest.status();
   }
   std::lock_guard lock(build_mu_);
-  // Keyed-parallel groups first: a manifest written under a different shard
-  // count is re-hashed onto this plan's shape, and the blob names it used
-  // are excluded from the plain by-name restore below.
+  // Keyed-parallel groups first: a manifest written at a different
+  // parallelism is re-hashed onto this plan's shape, and the blob names it
+  // used are excluded from the plain by-name restore below.
   std::unordered_set<std::string> resharded;
   for (const ShardGroup& group : shard_groups_) {
     STRATA_RETURN_IF_ERROR(RestoreShardGroup(group, *manifest, &resharded));
   }
   for (const OperatorSnapshot& snapshot : manifest->operators) {
     if (resharded.find(snapshot.name) != resharded.end()) continue;
-    Operator* op = nullptr;
-    for (const auto& candidate : operators_) {
-      if (candidate->name() == snapshot.name) {
-        op = candidate.get();
-        break;
-      }
-    }
+    Operator* op = OperatorNamed(snapshot.name);
     if (op == nullptr) {
       LOG_WARN << "checkpoint epoch " << manifest->epoch
                << ": no operator named '" << snapshot.name
@@ -300,18 +268,13 @@ Status Query::Recover() {
 
 namespace {
 /// True when `name` belongs to shard group `base`: exactly `base`, or
-/// `base[i]` for a numeric i.
+/// InstanceName(base, i) for some i >= 0.
 bool InShardGroup(const std::string& name, const std::string& base) {
   if (name == base) return true;
-  if (name.size() < base.size() + 3 ||
-      name.compare(0, base.size(), base) != 0 ||
-      name[base.size()] != '[' || name.back() != ']') {
-    return false;
-  }
-  for (std::size_t i = base.size() + 1; i + 1 < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-  }
-  return true;
+  if (name.size() < base.size() + 3) return false;
+  int i = -1;
+  std::from_chars(name.data() + base.size() + 1, name.data() + name.size(), i);
+  return i >= 0 && name == InstanceName(base, i);
 }
 }  // namespace
 
@@ -326,15 +289,12 @@ Status Query::RestoreShardGroup(const ShardGroup& group,
 
   // Shape match: every blob names an instance of the current plan, one blob
   // per instance. The plain by-name loop handles that exactly; the re-hash
-  // path is only for mismatched shard counts.
+  // path is only for a mismatched parallelism.
+  auto instance = [&group](int i) {
+    return group.parallelism == 1 ? group.base : InstanceName(group.base, i);
+  };
   std::unordered_set<std::string> expected;
-  if (group.shards == 1) {
-    expected.insert(group.base);
-  } else {
-    for (int i = 0; i < group.shards; ++i) {
-      expected.insert(group.base + "[" + std::to_string(i) + "]");
-    }
-  }
+  for (int i = 0; i < group.parallelism; ++i) expected.insert(instance(i));
   if (found.size() == expected.size()) {
     bool exact = true;
     for (const OperatorSnapshot* snapshot : found) {
@@ -353,27 +313,18 @@ Status Query::RestoreShardGroup(const ShardGroup& group,
     consumed->insert(snapshot->name);
   }
   std::vector<std::string> new_blobs;
+  const auto parallelism = static_cast<std::size_t>(group.parallelism);
   const Status resharded =
       group.is_join
-          ? ReshardJoinSnapshots(old_blobs, static_cast<std::size_t>(group.shards),
-                                 &new_blobs)
-          : ReshardAggregateSnapshots(
-                old_blobs, static_cast<std::size_t>(group.shards), &new_blobs);
+          ? ReshardJoinSnapshots(old_blobs, parallelism, &new_blobs)
+          : ReshardAggregateSnapshots(old_blobs, parallelism, &new_blobs);
   if (!resharded.ok()) {
     return Status(resharded.code(),
                   "shard group '" + group.base + "': " + resharded.message());
   }
-  for (int i = 0; i < group.shards; ++i) {
-    const std::string name =
-        group.shards == 1 ? group.base
-                          : group.base + "[" + std::to_string(i) + "]";
-    Operator* op = nullptr;
-    for (const auto& candidate : operators_) {
-      if (candidate->name() == name) {
-        op = candidate.get();
-        break;
-      }
-    }
+  for (int i = 0; i < group.parallelism; ++i) {
+    const std::string name = instance(i);
+    Operator* op = OperatorNamed(name);
     if (op == nullptr) {
       return Status::InvalidArgument("shard group '" + group.base +
                                      "': missing instance '" + name + "'");
@@ -381,16 +332,20 @@ Status Query::RestoreShardGroup(const ShardGroup& group,
     STRATA_RETURN_IF_ERROR(op->RestoreState(new_blobs[static_cast<std::size_t>(i)]));
   }
   LOG_INFO << "shard group '" << group.base << "': re-hashed " << found.size()
-           << " snapshot(s) onto " << group.shards << " shard(s)";
+           << " snapshot(s) onto parallelism " << group.parallelism;
   return Status::Ok();
 }
 
-Operator* Query::FindOperator(const std::string& name) {
-  std::lock_guard lock(build_mu_);
+Operator* Query::OperatorNamed(const std::string& name) const {
   for (const auto& op : operators_) {
     if (op->name() == name) return op.get();
   }
   return nullptr;
+}
+
+Operator* Query::FindOperator(const std::string& name) {
+  std::lock_guard lock(build_mu_);
+  return OperatorNamed(name);
 }
 
 void Query::Start() {
@@ -419,7 +374,7 @@ void Query::Start() {
       if (checkpointer_) op->SetCheckpointer(checkpointer_.get());
     }
   }
-  if (options_.enable_spsc) EnableSpscFastPaths();
+  EnableSpscFastPaths();
   threads_.reserve(operators_.size() + fused_.size());
   for (auto& op : operators_) {
     if (absorbed.find(op.get()) != absorbed.end()) continue;

@@ -1,8 +1,11 @@
 // Continuous query: a DAG of operators connected by bounded streams (paper
 // §2). The builder API creates operators and returns the stream handle of
 // each operator's output; every stream has exactly one producer and one
-// consumer (fan-out is explicit via AddSplit, parallelism via the
-// router/union pair built by the `parallelism` argument of AddFlatMap).
+// consumer (fan-out is explicit via AddSplit). The `parallelism` argument of
+// AddFlatMap/AddAggregate/AddJoin makes a stage keyed-parallel: a hash
+// router per input (`name.router`, or `name.router.left`/`.right` for a
+// join) sends each tuple to instance ShardOf(key, parallelism) of
+// `parallelism` instances `name[i]`, and `name.union` merges their outputs.
 //
 // Lifecycle: build -> Start() -> [Stop()] -> Join(). Sources end the query
 // naturally by returning nullopt; Stop() asks sources to finish early. End
@@ -10,6 +13,7 @@
 // and exits, so Join() returns once the sinks have consumed everything.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -36,9 +40,6 @@ struct QueryOptions {
   /// Upper bound (µs, query clock) a tuple may wait in an emit buffer.
   /// Idle-triggered flushes keep latency flat at low rates regardless.
   std::int64_t batch_linger_us = BatchPolicy{}.linger_us;
-  /// Allow Start() to switch 1-producer/1-consumer streams to the lock-free
-  /// SPSC ring (Router/Union endpoints always keep the MPMC queue).
-  bool enable_spsc = true;
   /// Allow Start() to fuse adjacent stateless operators (FlatMap/Filter
   /// chains on private streams) into single fused workers with no
   /// intermediate queue (see plan_rewrite.hpp). Off by default: the fused
@@ -56,6 +57,9 @@ class Query {
   Query& operator=(const Query&) = delete;
 
   // ----- builders (call before Start) -----
+  //
+  // A builder that throws on a bad argument leaves its input streams
+  // unconsumed and the query unchanged.
 
   [[nodiscard]] StreamPtr AddSource(const std::string& name, SourceFn fn);
 
@@ -64,9 +68,8 @@ class Query {
   [[nodiscard]] StreamPtr AddBatchSource(const std::string& name,
                                          BatchSourceFn fn);
 
-  /// Map/FlatMap. With parallelism > 1 a hash router shards tuples by
-  /// `shard_key` across `parallelism` instances whose outputs are unioned
-  /// (per-key order preserved; cross-key order not).
+  /// Map/FlatMap. With parallelism > 1 the stage is keyed-parallel on
+  /// `shard_key` (required; per-key order preserved, cross-key order not).
   [[nodiscard]] StreamPtr AddFlatMap(const std::string& name, StreamPtr in,
                                      FlatMapFn fn, int parallelism = 1,
                                      KeyFn shard_key = nullptr);
@@ -74,21 +77,20 @@ class Query {
   [[nodiscard]] StreamPtr AddFilter(const std::string& name, StreamPtr in,
                                     FilterFn fn);
 
-  /// Windowed aggregate. With shards > 1 the stage is keyed-data-parallel:
-  /// a hash router partitions tuples by `spec.key` (required) across
-  /// `shards` instances named `name[i]` whose outputs are unioned
-  /// (per-key order preserved; cross-key order not). Checkpoint state is
-  /// per shard; Recover() re-hashes it onto a different shard count.
+  /// Windowed aggregate. With parallelism > 1 the stage is keyed-parallel
+  /// on `spec.key` (required). Checkpoint state is per instance; Recover()
+  /// re-hashes it onto a different parallelism.
   [[nodiscard]] StreamPtr AddAggregate(const std::string& name, StreamPtr in,
-                                       AggregateSpec spec, int shards = 1);
+                                       AggregateSpec spec,
+                                       int parallelism = 1);
 
-  /// Time-bound join. With shards > 1 both sides are hash-routed by their
-  /// respective group-by keys (`spec.key_left`/`spec.key_right`, required)
-  /// across `shards` join instances; matching pairs agree on key and so
-  /// land on the same shard. Same checkpoint/re-hash story as AddAggregate.
+  /// Time-bound join. With parallelism > 1 each side is routed by its own
+  /// group-by key (`spec.key_left`/`spec.key_right`, required); matching
+  /// pairs agree on key and so meet on the same instance. Same
+  /// checkpoint/re-hash story as AddAggregate.
   [[nodiscard]] StreamPtr AddJoin(const std::string& name, StreamPtr left,
                                   StreamPtr right, JoinSpec spec,
-                                  int shards = 1);
+                                  int parallelism = 1);
 
   [[nodiscard]] StreamPtr AddUnion(const std::string& name,
                                    std::vector<StreamPtr> ins);
@@ -162,21 +164,39 @@ class Query {
   [[nodiscard]] std::string ToDot() const;
 
  private:
-  /// A keyed-parallel Aggregate/Join built by the shards argument; recorded
-  /// even at shards == 1 so Recover() can re-hash a manifest written under
-  /// a different shard count onto this plan's shape.
+  /// A keyed-parallel Aggregate/Join; recorded even at parallelism == 1 so
+  /// Recover() can re-hash a manifest written at a different parallelism
+  /// onto this plan's shape.
   struct ShardGroup {
     std::string base;
     bool is_join = false;
-    int shards = 1;
+    int parallelism = 1;
   };
 
   StreamPtr NewStream(const std::string& name);
-  void Consume(const StreamPtr& stream);  // enforce single consumer
+  /// Claims `streams` as inputs of one new operator. Checks every stream
+  /// first (non-null, no consumer yet, no duplicates), so a throw claims
+  /// none of them.
+  void Consume(const std::vector<StreamPtr>& streams);
+  /// Builds a keyed stage at `parallelism` and returns its output stream.
+  /// At 1: one instance named `name` reading `ins` directly. Above 1: a
+  /// router per input keyed by the matching entry of `keys`,
+  /// `parallelism` instances InstanceName(name, i) each reading one router
+  /// output per input (in `ins` order), and `name.union` merging them.
+  /// `make_instance(name)` constructs one unwired instance.
+  StreamPtr AddKeyedStage(
+      const std::string& name, std::vector<StreamPtr> ins,
+      std::vector<KeyFn> keys, int parallelism,
+      const std::function<std::unique_ptr<Operator>(const std::string&)>&
+          make_instance);
+  /// Registers `op` with the query (before Start) and returns it.
+  Operator* Adopt(std::unique_ptr<Operator> op);
+  /// The operator registered under `name`, or nullptr; build_mu_ held.
+  [[nodiscard]] Operator* OperatorNamed(const std::string& name) const;
   /// Switch eligible streams (one producer op, one consumer op, no
   /// router/union endpoint) to the lock-free SPSC transport.
   void EnableSpscFastPaths();
-  /// Re-hash `group`'s manifest blobs onto its current shard count; blob
+  /// Re-hash `group`'s manifest blobs onto its current parallelism; blob
   /// names consumed here are added to `consumed` and skipped by the plain
   /// by-name restore loop. No-op when the manifest's shape already matches.
   [[nodiscard]] Status RestoreShardGroup(

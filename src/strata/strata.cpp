@@ -26,9 +26,6 @@ Strata::Strata(StrataOptions options) : options_(std::move(options)) {
   if (options_.persistent_connectors) {
     broker_options.data_dir = options_.data_dir / "broker";
   }
-  if (options_.broker_shards > 0) {
-    broker_options.shards = options_.broker_shards;
-  }
   broker_ = std::make_unique<ps::Broker>(broker_options);
   if (!options_.remote_bootstrap.empty() && !options_.remote_broker) {
     options_.remote_broker.emplace();
@@ -354,7 +351,8 @@ spe::StreamPtr Strata::ImportSource(const std::string& name) {
 spe::StreamPtr Strata::Fuse(const std::string& name, spe::StreamPtr s1,
                             spe::StreamPtr s2,
                             std::optional<spe::WindowSpec> window,
-                            std::vector<std::string> group_by, int shards) {
+                            std::vector<std::string> group_by,
+                            int parallelism) {
   spe::JoinSpec spec;
   spec.window = window.has_value() ? window->size : 0;
   auto key_fn = [group_by](const spe::Tuple& t) {
@@ -368,7 +366,7 @@ spe::StreamPtr Strata::Fuse(const std::string& name, spe::StreamPtr s1,
   spec.key_left = key_fn;
   spec.key_right = key_fn;
   return query_->AddJoin(name, std::move(s1), std::move(s2), std::move(spec),
-                         shards);
+                         parallelism);
 }
 
 namespace {

@@ -69,11 +69,6 @@ struct StrataOptions {
   /// source thread; 0 = disabled. STRATA_TRACE_SAMPLE overrides. Spans land
   /// in the process-wide obs::Tracer and are served at /tracez.
   std::uint32_t trace_sample_every = 0;
-  /// Data-plane shards of the in-process broker (ps::BrokerOptions::shards):
-  /// appends to partitions on different shards take different locks and wake
-  /// different long-poll waiter lists. Raise for many-partition pipelines
-  /// serving many networked consumers; 0 keeps the broker default.
-  std::size_t broker_shards = 0;
   /// Epoch-barrier checkpoint cadence for the deployed query, in
   /// milliseconds; 0 disables checkpointing. When enabled, Deploy() first
   /// recovers operator state and broker replay cursors from the latest
@@ -132,25 +127,24 @@ class Strata {
   /// only τ-equal tuples fuse; with one, tuples within WS of each other fuse
   /// (windowed join). Output payloads concatenate the inputs' payloads; the
   /// method assumes keys are unique across fused tuples (violations drop).
-  /// shards > 1 makes the join keyed-data-parallel: both sides hash-route
-  /// on the fuse key across `shards` join instances (per-key order
-  /// preserved; see Query::AddJoin).
+  /// parallelism > 1 makes the join keyed-parallel on the fuse key
+  /// (per-key order preserved; see Query::AddJoin).
   [[nodiscard]] spe::StreamPtr Fuse(
       const std::string& name, spe::StreamPtr s1, spe::StreamPtr s2,
       std::optional<spe::WindowSpec> window = std::nullopt,
-      std::vector<std::string> group_by = {}, int shards = 1);
+      std::vector<std::string> group_by = {}, int parallelism = 1);
 
   /// partition(s_in, s_out, F): splits tuples into independently-processable
   /// units (specimens, cells); F sets specimen/portion. Null F = identity
-  /// with default specimen/portion, as Table 1 specifies. parallelism > 1
-  /// shards by (job, specimen) after F-application... shard key: the
-  /// *input* tuple's (job, layer, specimen) — see shard_by_specimen.
+  /// with default specimen/portion, as Table 1 specifies. F runs on several
+  /// threads when parallelism > 1, keyed on the *input* tuple: job|specimen,
+  /// or job|layer while specimens are not yet assigned.
   [[nodiscard]] spe::StreamPtr Partition(const std::string& name,
                                          spe::StreamPtr in, PartitionFn fn,
                                          int parallelism = 1);
 
   /// detectEvent(s_in, s_out, F): classifies units and emits event tuples.
-  /// F runs on possibly several threads when parallelism > 1 (sharded by
+  /// F runs on possibly several threads when parallelism > 1 (keyed on
   /// job|specimen so markers stay ordered with their events).
   [[nodiscard]] spe::StreamPtr DetectEvent(const std::string& name,
                                            spe::StreamPtr in, DetectFn fn,

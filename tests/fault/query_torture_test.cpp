@@ -147,7 +147,8 @@ void BuildPipeline(Strata* strata, std::chrono::microseconds emit_delay) {
                            return std::to_string(t.layer);
                          });
   auto counted = strata->query().AddAggregate(
-      "sevcount", std::move(branches[1]), SeverityCountSpec(), /*shards=*/2);
+      "sevcount", std::move(branches[1]), SeverityCountSpec(),
+      /*parallelism=*/2);
   strata->DeliverDurable(
       "counts", std::move(counted), "counts/", [](const spe::Tuple& t) {
         return t.payload.Get("group").AsString() + "/" +

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <optional>
 #include <thread>
@@ -265,14 +266,59 @@ TEST(KeyedSharding, ShardedAggregateMatchesUnsharded) {
   EXPECT_EQ(results[1], results[0]);
 }
 
-TEST(KeyedSharding, ShardedAggregateRequiresKey) {
-  Query query;
-  auto gen = query.AddSource(
-      "gen", []() -> std::optional<Tuple> { return std::nullopt; });
-  AggregateSpec spec = KeyedSumSpec(10, 10);
-  spec.key = nullptr;
-  EXPECT_THROW((void)query.AddAggregate("agg", std::move(gen), std::move(spec), 2),
-               std::invalid_argument);
+TEST(KeyedSharding, RejectedBuilderCallLeavesInputsUnconsumed) {
+  // Each bad call gets the two source streams; it must throw before it
+  // touches the query, so both streams still accept a sink afterwards.
+  using BadCall = std::function<void(Query*, StreamPtr, StreamPtr)>;
+  const auto identity = [](const Tuple& t) { return std::vector<Tuple>{t}; };
+  const auto key = [](const Tuple& t) { return std::to_string(t.job); };
+  const std::vector<std::pair<std::string, BadCall>> cases = {
+      {"flatmap without shard_key",
+       [&](Query* q, StreamPtr a, StreamPtr) {
+         (void)q->AddFlatMap("fm", std::move(a), identity, 2);
+       }},
+      {"aggregate without key",
+       [](Query* q, StreamPtr a, StreamPtr) {
+         AggregateSpec spec = KeyedSumSpec(10, 10);
+         spec.key = nullptr;
+         (void)q->AddAggregate("agg", std::move(a), std::move(spec), 2);
+       }},
+      {"aggregate without functions",
+       [](Query* q, StreamPtr a, StreamPtr) {
+         AggregateSpec spec = KeyedSumSpec(10, 10);
+         spec.add = nullptr;
+         (void)q->AddAggregate("agg", std::move(a), std::move(spec), 2);
+       }},
+      {"join without key_right",
+       [&](Query* q, StreamPtr a, StreamPtr b) {
+         JoinSpec spec;
+         spec.key_left = key;
+         (void)q->AddJoin("join", std::move(a), std::move(b), spec, 2);
+       }},
+      {"join with null right",
+       [&](Query* q, StreamPtr a, StreamPtr) {
+         JoinSpec spec;
+         spec.key_left = key;
+         spec.key_right = key;
+         (void)q->AddJoin("join", std::move(a), nullptr, spec, 2);
+       }},
+      {"parallelism 0",
+       [](Query* q, StreamPtr a, StreamPtr) {
+         (void)q->AddAggregate("agg", std::move(a), KeyedSumSpec(10, 10), 0);
+       }},
+  };
+  for (const auto& [label, bad_call] : cases) {
+    SCOPED_TRACE(label);
+    Query query;
+    auto empty = []() -> std::optional<Tuple> { return std::nullopt; };
+    auto a = query.AddSource("a", empty);
+    auto b = query.AddSource("b", empty);
+    const std::size_t operators = query.operator_count();
+    EXPECT_THROW(bad_call(&query, a, b), std::invalid_argument);
+    EXPECT_EQ(query.operator_count(), operators);
+    EXPECT_NO_THROW(query.AddSink("sink_a", a, [](const Tuple&) {}));
+    EXPECT_NO_THROW(query.AddSink("sink_b", b, [](const Tuple&) {}));
+  }
 }
 
 TEST(KeyedSharding, ShardedJoinMatchesUnsharded) {
