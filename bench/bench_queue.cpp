@@ -1,8 +1,7 @@
 // Data-plane microbenchmark: cost of moving tuples across one stream hop
-// under the three transports — per-tuple mutex queue (the pre-batch plane),
-// batched mutex queue (PushAll/PopAll), and the SPSC ring (per-tuple and
-// batched) — plus the 4-producer/4-consumer MPMC case the router/union
-// plumbing exercises.
+// over the stream transport (BlockingQueue), per tuple (Push/Pop) and
+// batched (PushAll/PopAll), for one producer/one consumer and for the
+// 4-producer/4-consumer case the router/union plumbing exercises.
 //
 // Prints a table and appends machine-readable JSON lines (one per scenario)
 // to $STRATA_BENCH_JSON (default BENCH_SPE.json) for CI artifacts.
@@ -18,7 +17,6 @@
 
 #include "bench_json.hpp"
 #include "common/queue.hpp"
-#include "common/spsc_ring.hpp"
 #include "spe/batch.hpp"
 #include "spe/tuple.hpp"
 
@@ -54,50 +52,6 @@ struct Scenario {
   std::size_t batch = 1;  // 1 = per-tuple API
   double tuples_per_sec = 0;
 };
-
-// ---- single-producer/single-consumer over the SPSC ring ----
-
-double RunSpsc(std::size_t tuples, std::size_t batch, std::size_t capacity) {
-  SpscRing<spe::Tuple> ring(capacity);
-  const auto start = std::chrono::steady_clock::now();
-  std::thread producer([&] {
-    if (batch <= 1) {
-      for (std::size_t i = 0; i < tuples; ++i) {
-        if (!ring.Push(MakeTuple(i)).ok()) break;
-      }
-    } else {
-      spe::TupleBatch chunk;
-      chunk.reserve(batch);
-      for (std::size_t i = 0; i < tuples; ++i) {
-        chunk.push_back(MakeTuple(i));
-        if (chunk.size() == batch) {
-          if (!ring.PushAll(&chunk).ok()) break;
-          chunk.clear();
-        }
-      }
-      if (!chunk.empty()) (void)ring.PushAll(&chunk);
-    }
-    ring.Close();
-  });
-  std::size_t consumed = 0;
-  if (batch <= 1) {
-    while (ring.Pop().has_value()) ++consumed;
-  } else {
-    spe::TupleBatch drained;
-    while (ring.PopAll(&drained)) {
-      consumed += drained.size();
-      drained.clear();
-    }
-  }
-  producer.join();
-  const double seconds = SecondsSince(start);
-  if (consumed != tuples) {
-    std::fprintf(stderr, "spsc scenario lost tuples: %zu != %zu\n", consumed,
-                 tuples);
-    std::exit(1);
-  }
-  return seconds;
-}
 
 // ---- M producers / N consumers over the mutex queue ----
 
@@ -178,8 +132,6 @@ int main() {
   std::vector<Scenario> scenarios = {
       {"mutex_1p1c_per_tuple", 1, 1, 1},
       {"mutex_1p1c_batched", 1, 1, batch},
-      {"spsc_1p1c_per_tuple", 1, 1, 1},
-      {"spsc_1p1c_batched", 1, 1, batch},
       {"mutex_4p4c_per_tuple", 4, 4, 1},
       {"mutex_4p4c_batched", 4, 4, batch},
   };
@@ -187,15 +139,11 @@ int main() {
   JsonLinesWriter out("STRATA_BENCH_JSON", "BENCH_SPE.json");
   double baseline = 0;
   for (Scenario& s : scenarios) {
-    const bool spsc = s.name.rfind("spsc", 0) == 0;
     const double seconds =
-        spsc ? RunSpsc(tuples, s.batch, capacity)
-             : RunMpmc(tuples, s.batch, capacity, s.producers, s.consumers);
-    // MPMC splits tuples evenly; recompute the actual total moved.
-    const std::size_t moved =
-        spsc ? tuples
-             : (tuples / static_cast<std::size_t>(s.producers)) *
-                   static_cast<std::size_t>(s.producers);
+        RunMpmc(tuples, s.batch, capacity, s.producers, s.consumers);
+    // Producers split tuples evenly; recompute the actual total moved.
+    const std::size_t moved = (tuples / static_cast<std::size_t>(s.producers)) *
+                              static_cast<std::size_t>(s.producers);
     s.tuples_per_sec = static_cast<double>(moved) / seconds;
     if (baseline == 0) baseline = s.tuples_per_sec;
     std::printf("%-24s %10d %10d %14.0f %9.2fx\n", s.name.c_str(),

@@ -771,7 +771,8 @@ void ServerConnection::OnWritable() { StartWrite(); }
 void ServerConnection::ArmWrite(bool want) {
   if (want == want_write_) return;
   want_write_ = want;
-  std::uint32_t events = want ? EPOLLOUT : 0;
+  std::uint32_t events = 0;
+  if (want) events |= EPOLLOUT;
   if (!severing_) events |= EPOLLIN;
   (void)loop_->ModFd(socket_.fd(), events);
 }
@@ -797,7 +798,8 @@ void ServerConnection::Sever() {
   if (severing_ || closed_) return;
   severing_ = true;
   // Stop reading (level-triggered epoll would spin on unread bytes).
-  (void)loop_->ModFd(socket_.fd(), want_write_ ? EPOLLOUT : 0);
+  (void)loop_->ModFd(socket_.fd(),
+                     want_write_ ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   auto guard = wake_;
   // Earlier pipelined fetches still get answered — with whatever data
   // exists right now — before the connection goes away.

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 #include "fault/failpoint.hpp"
@@ -59,6 +60,22 @@ Status PollFor(int fd, short events, Deadline deadline) {
 }
 
 }  // namespace
+
+bool ParseHostPort(std::string_view addr, std::string* host,
+                   std::uint16_t* port) {
+  const std::size_t colon = addr.rfind(':');
+  if (colon == std::string_view::npos) return false;
+  const std::string_view digits = addr.substr(colon + 1);
+  // Unsigned from_chars takes no sign or whitespace and fails out of range;
+  // the end check rejects a trailing non-digit ("80x").
+  std::uint16_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  if (ec != std::errc() || end != digits.data() + digits.size()) return false;
+  host->assign(addr.substr(0, colon));
+  *port = value;
+  return true;
+}
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {

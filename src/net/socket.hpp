@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 
@@ -25,6 +26,13 @@ inline constexpr Deadline kNoDeadline = Deadline::max();
 [[nodiscard]] inline Deadline After(std::chrono::microseconds timeout) {
   return std::chrono::steady_clock::now() + timeout;
 }
+
+/// Splits "host:port" at the last ':'. The port must be all decimal digits
+/// in 0–65535 (0 asks a listener for an ephemeral port); anything else —
+/// no colon, an empty, signed, non-numeric or out-of-range port — returns
+/// false and leaves `*host` and `*port` untouched.
+[[nodiscard]] bool ParseHostPort(std::string_view addr, std::string* host,
+                                 std::uint16_t* port);
 
 /// A connected TCP stream. Move-only RAII over the file descriptor.
 class Socket {

@@ -109,7 +109,7 @@ void MetricsSnapshot::AddGauge(std::string name, Labels labels,
 void MetricsSnapshot::AddHistogram(std::string name, Labels labels,
                                    BoxplotStats stats) {
   histograms.push_back(
-      HistogramSample{std::move(name), std::move(labels), stats});
+      HistogramSample{std::move(name), std::move(labels), stats, {}});
 }
 
 std::optional<double> MetricsSnapshot::Value(std::string_view name,
@@ -239,7 +239,10 @@ std::string MetricsSnapshot::ToJsonLines() const {
     for (const auto& [k, v] : labels) {
       if (!first) json += ",";
       first = false;
-      json += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+      // Appended piecewise: GCC 12 -O3 raises a false -Wrestrict on
+      // `"literal" + std::string&&` (GCC bug 105651).
+      json.append("\"").append(JsonEscape(k)).append("\":\"");
+      json.append(JsonEscape(v)).append("\"");
     }
     json += "}";
     return json;
@@ -312,7 +315,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     }
     for (const auto& [key, hist] : histograms_) {
       const Histogram h = hist.Snapshot();
-      HistogramSample sample{key.name, key.labels, h.Boxplot()};
+      HistogramSample sample{key.name, key.labels, h.Boxplot(), {}};
       const std::vector<std::uint64_t> cumulative =
           h.CumulativeBuckets(kPrometheusBucketBounds);
       sample.buckets.reserve(cumulative.size());

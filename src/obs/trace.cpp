@@ -81,7 +81,9 @@ std::int64_t TraceNowUs() noexcept {
 // ---------------------------------------------------------------------------
 // SpanRing: per-slot seqlock over atomic words (the Boehm seqlock idiom, so
 // the race between a writer overwriting the oldest slot and a reader
-// snapshotting it is defined behavior and TSan-clean).
+// snapshotting it is defined behavior and TSan-clean). Ordering comes from
+// release word stores and acquire word loads rather than fences, which
+// ThreadSanitizer does not model.
 // ---------------------------------------------------------------------------
 
 SpanRing::SpanRing(std::size_t capacity)
@@ -97,11 +99,10 @@ void SpanRing::Push(const Span& span) noexcept {
 
   const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);
-  // Order the odd seq before the payload words so a reader that observes new
-  // payload also observes the write-in-progress marker.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // Release orders the odd seq before each payload word, so a reader that
+  // observes new payload also observes the write-in-progress marker.
   for (std::size_t i = 0; i < kWordsPerSpan; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
+    slot.words[i].store(words[i], std::memory_order_release);
   }
   slot.seq.store(seq + 2, std::memory_order_release);
   pushed_.store(index + 1, std::memory_order_release);
@@ -121,10 +122,10 @@ void SpanRing::Snapshot(std::vector<Span>* out) const {
     std::uint64_t words[kWordsPerSpan];
     const std::uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before % 2 != 0 || before == 0) continue;  // mid-write or never written
+    // Acquire keeps the seq re-check below after every payload load.
     for (std::size_t w = 0; w < kWordsPerSpan; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
+      words[w] = slot.words[w].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;  // torn
     Span span;
     std::memcpy(&span, words, sizeof(span));
@@ -151,10 +152,11 @@ Tracer& Tracer::Instance() {
   return *tracer;
 }
 
-void Tracer::Configure(std::uint32_t sample_every, std::size_t ring_capacity) {
-  {
+void Tracer::Configure(std::uint32_t sample_every,
+                       std::optional<std::size_t> ring_capacity) {
+  if (ring_capacity.has_value()) {
     std::lock_guard lock(mu_);
-    ring_capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
+    ring_capacity_ = *ring_capacity == 0 ? 1 : *ring_capacity;
   }
   sample_every_.store(sample_every, std::memory_order_relaxed);
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,7 @@ class SpanRing {
   SpanRing(const SpanRing&) = delete;
   SpanRing& operator=(const SpanRing&) = delete;
 
-  /// Owner thread only. Wait-free: two fences and ~16 relaxed word stores.
+  /// Owner thread only. Wait-free: ~16 release word stores, no fence.
   void Push(const Span& span) noexcept;
 
   /// Any thread. Copies out every consistent, fully-written span not hidden
@@ -117,9 +118,12 @@ class Tracer {
   static Tracer& Instance();
 
   /// sample_every: a source starts a trace on every Nth batch; 0 disables
-  /// tracing entirely (the default). ring_capacity applies to rings created
-  /// after the call. Safe to call while the pipeline runs.
-  void Configure(std::uint32_t sample_every, std::size_t ring_capacity = 2048);
+  /// tracing entirely (the default). ring_capacity (spans per thread ring,
+  /// 2048 until set) applies to rings created after the call; omitting it
+  /// keeps the current capacity, so a rate change never shrinks the rings.
+  /// Safe to call while the pipeline runs.
+  void Configure(std::uint32_t sample_every,
+                 std::optional<std::size_t> ring_capacity = std::nullopt);
 
   /// Applies STRATA_TRACE_SAMPLE from the environment if set (integer,
   /// 0 disables). Returns true when the variable was present.

@@ -165,7 +165,7 @@ FusionPlan FuseStatelessChains(
   // Endpoint census over the whole plan: a fusable link must be a private
   // stream (exactly one registered producer and consumer). Streams pushed
   // from outside the query have an unregistered endpoint the census cannot
-  // see — same assumption the SPSC fast-path pass already makes.
+  // see; the plan assumes a stream between two operators has no other user.
   std::map<const Stream*, std::pair<int, int>> endpoint_count;
   for (const auto& op : operators) {
     for (const StreamPtr& out : op->outputs()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <map>
-#include <string_view>
 
 #include "common/logging.hpp"
 #include "spe/plan_rewrite.hpp"
@@ -374,7 +373,6 @@ void Query::Start() {
       if (checkpointer_) op->SetCheckpointer(checkpointer_.get());
     }
   }
-  EnableSpscFastPaths();
   threads_.reserve(operators_.size() + fused_.size());
   for (auto& op : operators_) {
     if (absorbed.find(op.get()) != absorbed.end()) continue;
@@ -384,37 +382,6 @@ void Query::Start() {
     threads_.emplace_back([raw = op.get()] { raw->Run(); });
   }
   if (checkpointer_) checkpointer_->Start();
-}
-
-void Query::EnableSpscFastPaths() {
-  // A stream is SPSC-eligible when exactly one registered operator produces
-  // into it and exactly one consumes from it, and neither endpoint is
-  // router/union plumbing (those stay on the MPMC queue). Streams pushed or
-  // popped from outside the query have an unregistered endpoint and never
-  // qualify. Runs single-threaded before operator threads spawn.
-  std::map<const Stream*, std::pair<int, int>> endpoint_count;  // {prod, cons}
-  std::map<const Stream*, bool> plumbing;
-  for (const auto& op : operators_) {
-    const std::string_view kind = op->kind();
-    const bool is_plumbing = kind == "router" || kind == "union";
-    for (const StreamPtr& out : op->outputs()) {
-      ++endpoint_count[out.get()].first;
-      if (is_plumbing) plumbing[out.get()] = true;
-    }
-    for (const StreamPtr& in : op->inputs()) {
-      ++endpoint_count[in.get()].second;
-      if (is_plumbing) plumbing[in.get()] = true;
-    }
-  }
-  std::lock_guard lock(build_mu_);
-  for (const StreamPtr& stream : streams_) {
-    const auto it = endpoint_count.find(stream.get());
-    if (it == endpoint_count.end()) continue;  // never wired up
-    if (it->second.first == 1 && it->second.second == 1 &&
-        !plumbing[stream.get()]) {
-      (void)stream->TryEnableSpsc();
-    }
-  }
 }
 
 void Query::Stop() {

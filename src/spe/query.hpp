@@ -193,9 +193,6 @@ class Query {
   Operator* Adopt(std::unique_ptr<Operator> op);
   /// The operator registered under `name`, or nullptr; build_mu_ held.
   [[nodiscard]] Operator* OperatorNamed(const std::string& name) const;
-  /// Switch eligible streams (one producer op, one consumer op, no
-  /// router/union endpoint) to the lock-free SPSC transport.
-  void EnableSpscFastPaths();
   /// Re-hash `group`'s manifest blobs onto its current parallelism; blob
   /// names consumed here are added to `consumed` and skipped by the plain
   /// by-name restore loop. No-op when the manifest's shape already matches.

@@ -2,15 +2,10 @@
 // Push blocks when the channel is full — back-pressure propagates upstream to
 // the sources, as in Liebre/StreamCloud.
 //
-// Two interchangeable transports sit behind the same API:
-//   - MPMC (default): mutex/condvar BlockingQueue — safe for any number of
-//     producers/consumers, including streams pushed from outside the query.
-//   - SPSC fast path: lock-free SpscRing, selected by Query::Start for
-//     streams with exactly one producer and one consumer operator (the
-//     common case in our DAGs; Router/Union plumbing keeps MPMC).
-// Capacity is counted in tuples either way, so back-pressure semantics are
-// identical; batches (PushBatch/PopBatch) are a synchronization
-// amortization, not a storage unit.
+// The transport is one mutex/condvar BlockingQueue, safe for any number of
+// producers/consumers, including streams pushed from outside the query.
+// Capacity is counted in tuples; batches (PushBatch/PopBatch) amortize the
+// lock over many tuples, they are not a storage unit.
 #pragma once
 
 #include <atomic>
@@ -20,7 +15,6 @@
 
 #include "common/histogram.hpp"
 #include "common/queue.hpp"
-#include "common/spsc_ring.hpp"
 #include "spe/batch.hpp"
 #include "spe/tuple.hpp"
 
@@ -29,16 +23,13 @@ namespace strata::spe {
 class Stream {
  public:
   Stream(std::string name, std::size_t capacity)
-      : name_(std::move(name)),
-        capacity_(capacity),
-        mpmc_(std::make_unique<BlockingQueue<Tuple>>(capacity)) {}
+      : name_(std::move(name)), queue_(capacity) {}
 
   // ----- single-tuple API (tests, external pushers, trickle paths) -----
 
   [[nodiscard]] Status Push(Tuple tuple) {
     std::int64_t blocked_us = 0;
-    const Status s = spsc_ ? spsc_->Push(std::move(tuple), &blocked_us)
-                           : mpmc_->Push(std::move(tuple), &blocked_us);
+    const Status s = queue_.Push(std::move(tuple), &blocked_us);
     if (blocked_us > 0) {
       blocked_us_.fetch_add(static_cast<std::uint64_t>(blocked_us),
                             std::memory_order_relaxed);
@@ -52,13 +43,13 @@ class Stream {
   }
 
   [[nodiscard]] std::optional<Tuple> Pop() {
-    auto t = spsc_ ? spsc_->Pop() : mpmc_->Pop();
+    auto t = queue_.Pop();
     if (t.has_value()) popped_.fetch_add(1, std::memory_order_relaxed);
     return t;
   }
 
   [[nodiscard]] std::optional<Tuple> PopFor(std::chrono::microseconds timeout) {
-    auto t = spsc_ ? spsc_->PopFor(timeout) : mpmc_->PopFor(timeout);
+    auto t = queue_.PopFor(timeout);
     if (t.has_value()) popped_.fetch_add(1, std::memory_order_relaxed);
     return t;
   }
@@ -75,8 +66,7 @@ class Stream {
     if (total == 0) return Status::Ok();
     std::size_t done = 0;
     std::int64_t blocked_us = 0;
-    const Status s = spsc_ ? spsc_->PushAll(batch, &done, &blocked_us)
-                           : mpmc_->PushAll(batch, &done, &blocked_us);
+    const Status s = queue_.PushAll(batch, &done, &blocked_us);
     if (blocked_us > 0) {
       blocked_us_.fetch_add(static_cast<std::uint64_t>(blocked_us),
                             std::memory_order_relaxed);
@@ -96,8 +86,7 @@ class Stream {
   [[nodiscard]] std::optional<TupleBatch> PopBatch(
       std::size_t max_tuples = kNoLimit) {
     TupleBatch batch;
-    const bool got = spsc_ ? spsc_->PopAll(&batch, max_tuples)
-                           : mpmc_->PopAll(&batch, max_tuples);
+    const bool got = queue_.PopAll(&batch, max_tuples);
     if (!got) return std::nullopt;
     RecordDrain(batch.size());
     return batch;
@@ -107,8 +96,7 @@ class Stream {
   [[nodiscard]] std::optional<TupleBatch> PopBatchFor(
       std::chrono::microseconds timeout, std::size_t max_tuples = kNoLimit) {
     TupleBatch batch;
-    const bool got = spsc_ ? spsc_->PopAllFor(timeout, &batch, max_tuples)
-                           : mpmc_->PopAllFor(timeout, &batch, max_tuples);
+    const bool got = queue_.PopAllFor(timeout, &batch, max_tuples);
     if (!got) return std::nullopt;
     RecordDrain(batch.size());
     return batch;
@@ -118,41 +106,16 @@ class Stream {
   [[nodiscard]] std::optional<TupleBatch> TryPopBatch(
       std::size_t max_tuples = kNoLimit) {
     TupleBatch batch;
-    const std::size_t n = spsc_ ? spsc_->TryPopAll(&batch, max_tuples)
-                                : mpmc_->TryPopAll(&batch, max_tuples);
+    const std::size_t n = queue_.TryPopAll(&batch, max_tuples);
     if (n == 0) return std::nullopt;
     RecordDrain(n);
     return batch;
   }
 
-  // ----- transport selection -----
-
-  /// Switch to the lock-free SPSC ring. Only legal before any traffic (and
-  /// before operator threads start): returns false and keeps the MPMC queue
-  /// if the stream has been pushed to, closed, or already consumed from.
-  /// Called by Query::Start for streams with exactly one producer and one
-  /// consumer operator; not thread-safe against concurrent stream use.
-  bool TryEnableSpsc() {
-    if (spsc_) return true;
-    if (mpmc_->closed() || mpmc_->size() != 0 ||
-        pushed_.load(std::memory_order_relaxed) != 0 ||
-        popped_.load(std::memory_order_relaxed) != 0) {
-      return false;
-    }
-    spsc_ = std::make_unique<SpscRing<Tuple>>(capacity_);
-    mpmc_.reset();
-    return true;
-  }
-
-  /// True when the lock-free fast path is active.
-  [[nodiscard]] bool spsc() const noexcept { return spsc_ != nullptr; }
-
   // ----- lifecycle + metrics -----
 
-  void Close() { spsc_ ? spsc_->Close() : mpmc_->Close(); }
-  [[nodiscard]] bool closed() const {
-    return spsc_ ? spsc_->closed() : mpmc_->closed();
-  }
+  void Close() { queue_.Close(); }
+  [[nodiscard]] bool closed() const { return queue_.closed(); }
   [[nodiscard]] bool drained() const { return closed() && depth() == 0; }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -162,10 +125,10 @@ class Stream {
   [[nodiscard]] std::uint64_t popped() const noexcept {
     return popped_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t depth() const {
-    return spsc_ ? spsc_->size() : mpmc_->size();
+  [[nodiscard]] std::size_t depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return queue_.capacity();
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Cumulative microseconds producers spent blocked on a full queue
   /// (the back-pressure signal surfaced by the obs layer).
   [[nodiscard]] std::uint64_t blocked_us() const noexcept {
@@ -192,10 +155,7 @@ class Stream {
   }
 
   std::string name_;
-  const std::size_t capacity_;
-  // Exactly one transport is live; see TryEnableSpsc.
-  std::unique_ptr<BlockingQueue<Tuple>> mpmc_;
-  std::unique_ptr<SpscRing<Tuple>> spsc_;
+  BlockingQueue<Tuple> queue_;
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> popped_{0};
   std::atomic<std::uint64_t> blocked_us_{0};

@@ -37,10 +37,10 @@ struct Tuple {
   TraceContext trace;
   /// Non-zero marks this tuple as an epoch-barrier marker (Chandy–Lamport /
   /// Flink style): it carries no data, flows through the data plane like any
-  /// other tuple (both the MPMC queue and the SPSC ring transport it), and
-  /// triggers a state snapshot as it drains past each operator. Zero — the
-  /// default and the only value data tuples ever carry — costs one branch
-  /// per tuple in the operator loops.
+  /// other tuple through the same stream queue, and triggers a state
+  /// snapshot as it drains past each operator. Zero — the default and the
+  /// only value data tuples ever carry — costs one branch per tuple in the
+  /// operator loops.
   std::uint64_t barrier_epoch = 0;
   Payload payload;
 
@@ -66,7 +66,9 @@ struct Tuple {
     out += " layer=" + std::to_string(layer);
     if (specimen != kUnsetId) out += " spec=" + std::to_string(specimen);
     if (portion != kUnsetId) out += " portion=" + std::to_string(portion);
-    out += " " + payload.ToString() + ">";
+    // Appended piecewise: GCC 12 -O3 raises a false -Wrestrict on
+    // `"literal" + std::string&&` (GCC bug 105651).
+    out.append(" ").append(payload.ToString()).append(">");
     return out;
   }
 };

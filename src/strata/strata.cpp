@@ -9,6 +9,7 @@
 #include "common/logging.hpp"
 #include "common/trace_context.hpp"
 #include "fault/failpoint.hpp"
+#include "net/socket.hpp"
 #include "obs/trace.hpp"
 
 namespace strata::core {
@@ -34,16 +35,14 @@ Strata::Strata(StrataOptions options) : options_(std::move(options)) {
     net::RemoteOptions remote = *options_.remote_broker;
     if (remote.metrics == nullptr) remote.metrics = &registry_;
     for (const std::string& seed : options_.remote_bootstrap) {
-      const std::size_t colon = seed.rfind(':');
-      if (colon == std::string::npos) {
+      std::string host;
+      std::uint16_t port = 0;
+      if (!net::ParseHostPort(seed, &host, &port)) {
         LOG_ERROR << "strata: remote_bootstrap seed '" << seed
-                  << "' is not host:port; skipped";
+                  << "' is not host:port with a port in 0-65535; skipped";
         continue;
       }
-      remote.bootstrap.emplace_back(
-          seed.substr(0, colon),
-          static_cast<std::uint16_t>(
-              std::strtol(seed.c_str() + colon + 1, nullptr, 10)));
+      remote.bootstrap.emplace_back(std::move(host), port);
     }
     if (remote.port == 0 && !remote.bootstrap.empty()) {
       remote.host = remote.bootstrap.front().first;
@@ -164,15 +163,12 @@ void JsonEscapeTo(std::string_view in, std::string* out) {
 void Strata::StartAdminServer(const std::string& addr) {
   net::AdminOptions options;
   options.metrics = &registry_;
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos) {
+  if (!net::ParseHostPort(addr, &options.host, &options.port)) {
     LOG_ERROR << "strata: admin_addr '" << addr
-              << "' is not host:port; admin endpoint disabled";
+              << "' is not host:port with a port in 0-65535; admin endpoint "
+                 "disabled";
     return;
   }
-  options.host = addr.substr(0, colon);
-  const long port = std::strtol(addr.c_str() + colon + 1, nullptr, 10);
-  options.port = static_cast<std::uint16_t>(port);
 
   admin_ = std::make_unique<net::AdminServer>(options);
   admin_->Route("/metrics", [this](std::string_view) {

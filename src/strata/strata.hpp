@@ -58,12 +58,14 @@ struct StrataOptions {
   /// "host:port" seeds of a replicated broker cluster. Folded into
   /// remote_broker's bootstrap list (creating a default remote_broker when
   /// unset), so connector producers/consumers discover the leader and fail
-  /// over automatically. See DESIGN.md "Replication & failover".
+  /// over automatically. See DESIGN.md "Replication & failover". A seed
+  /// whose port is not a decimal number in 0–65535 is logged and skipped.
   std::vector<std::string> remote_bootstrap;
   /// "host:port" for the embedded HTTP admin endpoint (/metrics, /healthz,
   /// /varz, /tracez). Empty = disabled; the STRATA_ADMIN_ADDR environment
   /// variable overrides (and enables) it. Port 0 binds an ephemeral port —
-  /// the resolved address is available via admin_addr().
+  /// the resolved address is available via admin_addr(). A port that is not
+  /// a decimal number in 0–65535 logs an error and leaves it disabled.
   std::string admin_addr;
   /// Pipeline tracing: start a sampled trace every N source batches per
   /// source thread; 0 = disabled. STRATA_TRACE_SAMPLE overrides. Spans land

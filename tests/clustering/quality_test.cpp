@@ -38,7 +38,7 @@ TEST(AdjustedRandIndex, PartialAgreementBetweenZeroAndOne) {
 }
 
 TEST(AdjustedRandIndex, SizeMismatchThrows) {
-  EXPECT_THROW(AdjustedRandIndex({0, 1}, {0}), std::invalid_argument);
+  EXPECT_THROW((void)AdjustedRandIndex({0, 1}, {0}), std::invalid_argument);
 }
 
 TEST(AdjustedRandIndex, TrivialInputs) {
@@ -68,7 +68,7 @@ TEST(Purity, OverSegmentationStillPure) {
 }
 
 TEST(Purity, SizeMismatchThrows) {
-  EXPECT_THROW(Purity({0}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW((void)Purity({0}, {0, 1}), std::invalid_argument);
 }
 
 TEST(Purity, EmptyScoresOne) { EXPECT_DOUBLE_EQ(Purity({}, {}), 1.0); }

@@ -56,7 +56,7 @@ TEST(Result, HoldsError) {
   Result<int> r(Status::NotFound("missing"));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_THROW(r.value(), std::runtime_error);
+  EXPECT_THROW((void)r.value(), std::runtime_error);
 }
 
 TEST(Result, RejectsOkStatusWithoutValue) {

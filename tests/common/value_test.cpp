@@ -34,10 +34,10 @@ TEST(Value, IntWidensToDouble) {
 }
 
 TEST(Value, MismatchedAccessThrows) {
-  EXPECT_THROW(Value(1).AsString(), std::runtime_error);
-  EXPECT_THROW(Value("x").AsInt(), std::runtime_error);
-  EXPECT_THROW(Value(1.5).AsInt(), std::runtime_error);
-  EXPECT_THROW(Value().AsBool(), std::runtime_error);
+  EXPECT_THROW((void)Value(1).AsString(), std::runtime_error);
+  EXPECT_THROW((void)Value("x").AsInt(), std::runtime_error);
+  EXPECT_THROW((void)Value(1.5).AsInt(), std::runtime_error);
+  EXPECT_THROW((void)Value().AsBool(), std::runtime_error);
 }
 
 TEST(Value, OpaqueRoundTrip) {
@@ -89,7 +89,7 @@ TEST(Payload, FindAndHas) {
   EXPECT_TRUE(p.Has("k"));
   EXPECT_FALSE(p.Has("missing"));
   EXPECT_EQ(p.Find("missing"), nullptr);
-  EXPECT_THROW(p.Get("missing"), std::out_of_range);
+  EXPECT_THROW((void)p.Get("missing"), std::out_of_range);
 }
 
 TEST(Payload, PreservesInsertionOrder) {

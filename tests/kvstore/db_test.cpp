@@ -310,7 +310,9 @@ TEST_F(DbTest, ConcurrentReadersWithWriter) {
     readers.emplace_back([&] {
       while (!stop.load()) {
         auto result = db->Get("k25");
-        if (result.ok()) EXPECT_FALSE(result->empty());
+        if (result.ok()) {
+          EXPECT_FALSE(result->empty());
+        }
       }
     });
   }

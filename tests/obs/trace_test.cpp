@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -134,6 +135,27 @@ TEST_F(TracerTest, SampleEveryControlsTraceRate) {
     EXPECT_EQ(sampled, 4);
   }).join();
   EXPECT_EQ(Tracer::Instance().traces_started(), 4u);
+}
+
+// An embedding program sizes the rings first; a later rate change (the
+// Strata constructor, STRATA_TRACE_SAMPLE) must not shrink them back to the
+// 2048-span default and drop spans.
+TEST_F(TracerTest, RateChangeKeepsRingCapacity) {
+  constexpr std::size_t kSpans = 3000;
+  Tracer::Instance().Configure(1, 4096);
+  Tracer::Instance().Configure(2);
+  ASSERT_EQ(::setenv("STRATA_TRACE_SAMPLE", "1", 1), 0);
+  EXPECT_TRUE(Tracer::Instance().ConfigureFromEnv());
+  ASSERT_EQ(::unsetenv("STRATA_TRACE_SAMPLE"), 0);
+  EXPECT_EQ(Tracer::Instance().sample_every(), 1u);
+
+  // A fresh thread gets a ring created after both rate changes.
+  std::thread([] {
+    for (std::uint64_t i = 1; i <= kSpans; ++i) {
+      Tracer::Instance().Record(MakeSpan(9, i, "op", "spe.source"));
+    }
+  }).join();
+  EXPECT_EQ(Tracer::Instance().CollectSpans().size(), kSpans);
 }
 
 TEST_F(TracerTest, SpanScopeRecordsSpanAndRestoresThreadSlot) {

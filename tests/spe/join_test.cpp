@@ -139,7 +139,9 @@ TEST(Join, PayloadKeyCollisionDropsPair) {
   query.Run();
   EXPECT_EQ(collector.size(), 0u);
   for (const auto& stats : query.Stats()) {
-    if (stats.name == "join") EXPECT_EQ(stats.late_drops, 1u);
+    if (stats.name == "join") {
+      EXPECT_EQ(stats.late_drops, 1u);
+    }
   }
 }
 

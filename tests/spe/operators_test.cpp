@@ -242,7 +242,9 @@ TEST(OperatorStats, CountsInAndOut) {
       EXPECT_EQ(stats.tuples_in, 3u);
       EXPECT_EQ(stats.tuples_out, 2u);
     }
-    if (stats.name == "src") EXPECT_EQ(stats.tuples_out, 3u);
+    if (stats.name == "src") {
+      EXPECT_EQ(stats.tuples_out, 3u);
+    }
   }
 }
 

@@ -136,31 +136,11 @@ TEST(Stream, PushBatchIntoClosedCountsDiscarded) {
   EXPECT_EQ(stream.discarded(), 4u);
 }
 
-TEST(Stream, TryEnableSpscOnlyBeforeTraffic) {
-  Stream stream("s", 8);
-  ASSERT_TRUE(stream.Push(TupleAt(1)).ok());
-  EXPECT_FALSE(stream.TryEnableSpsc());  // already pushed to
-  EXPECT_FALSE(stream.spsc());
-
-  Stream fresh("f", 8);
-  EXPECT_TRUE(fresh.TryEnableSpsc());
-  EXPECT_TRUE(fresh.spsc());
-  EXPECT_TRUE(fresh.TryEnableSpsc());  // idempotent
-
-  Stream closed("c", 8);
-  closed.Close();
-  EXPECT_FALSE(closed.TryEnableSpsc());
-}
-
-// Drives the same seeded 1P1C workload through both transports: sequences,
-// counters, and close-then-drain behavior must be indistinguishable.
-class StreamTransportEquivalence : public ::testing::TestWithParam<bool> {};
-
-TEST_P(StreamTransportEquivalence, SeededStressSameObservableBehavior) {
+// A seeded 1P1C workload mixing single-tuple and batch calls on both ends:
+// order, counters, and close-then-drain behavior must hold exactly.
+TEST(Stream, SeededStressPreservesOrderAndCounters) {
   constexpr int kTotal = 20'000;
   Stream stream("s", 16);
-  if (GetParam()) ASSERT_TRUE(stream.TryEnableSpsc());
-  ASSERT_EQ(stream.spsc(), GetParam());
 
   std::thread producer([&] {
     Rng rng(42);
@@ -202,14 +182,12 @@ TEST_P(StreamTransportEquivalence, SeededStressSameObservableBehavior) {
   EXPECT_TRUE(stream.drained());
 }
 
-// Same seeded workload with checkpoint barriers interleaved: both transports
-// must deliver barriers in exactly the position the producer wove them into
-// the stream (a reordered or dropped barrier would corrupt the epoch cut).
-TEST_P(StreamTransportEquivalence, SeededBarrierStreamSameObservableBehavior) {
+// Same seeded workload with checkpoint barriers interleaved: the stream must
+// deliver barriers in exactly the position the producer wove them into it
+// (a reordered or dropped barrier would corrupt the epoch cut).
+TEST(Stream, SeededBarrierStreamPreservesPositions) {
   constexpr int kTotal = 20'000;
   Stream stream("s", 16);
-  if (GetParam()) ASSERT_TRUE(stream.TryEnableSpsc());
-  ASSERT_EQ(stream.spsc(), GetParam());
 
   std::thread producer([&] {
     Rng rng(42);
@@ -277,12 +255,6 @@ TEST_P(StreamTransportEquivalence, SeededBarrierStreamSameObservableBehavior) {
   EXPECT_EQ(stream.discarded(), 0u);
   EXPECT_TRUE(stream.drained());
 }
-
-INSTANTIATE_TEST_SUITE_P(MpmcAndSpsc, StreamTransportEquivalence,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Spsc" : "Mpmc";
-                         });
 
 TEST(Stream, ConcurrentProducerConsumer) {
   Stream stream("s", 16);

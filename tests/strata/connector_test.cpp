@@ -63,7 +63,9 @@ TEST_F(ConnectorTest, PerKeyOrderPreserved) {
   std::map<std::int64_t, int> last;
   while (auto tuple = source()) {
     const int i = static_cast<int>(tuple->payload.Get("i").AsInt());
-    if (last.contains(tuple->job)) EXPECT_GT(i, last[tuple->job]);
+    if (last.contains(tuple->job)) {
+      EXPECT_GT(i, last[tuple->job]);
+    }
     last[tuple->job] = i;
   }
   EXPECT_EQ(last.size(), 2u);

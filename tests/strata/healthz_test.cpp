@@ -39,6 +39,30 @@ std::uint16_t AdminPort(const Strata& strata) {
   return static_cast<std::uint16_t>(std::stoi(addr.substr(addr.rfind(':') + 1)));
 }
 
+// A malformed admin_addr disables the endpoint instead of binding whatever
+// port a lenient parse produced ("h:abc" used to bind an ephemeral port,
+// "h:99999" port 34463).
+TEST(Healthz, AdminAddrNeedsAWholePortInRange) {
+  struct Case {
+    const char* addr;
+    bool enabled;
+  };
+  const Case cases[] = {
+      {"127.0.0.1:0", true},      {"127.0.0.1:99999", false},
+      {"127.0.0.1:65536", false}, {"127.0.0.1:abc", false},
+      {"127.0.0.1:", false},      {"127.0.0.1:80x", false},
+      {"127.0.0.1:-1", false},    {"127.0.0.1", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.addr);
+    StrataOptions options;
+    options.admin_addr = c.addr;
+    Strata strata(options);
+    EXPECT_EQ(!strata.admin_addr().empty(), c.enabled) << strata.admin_addr();
+    strata.Shutdown();
+  }
+}
+
 TEST(Healthz, ReportsPerShardStorageState) {
   StrataOptions options;
   options.admin_addr = "127.0.0.1:0";
