@@ -93,7 +93,7 @@ void PrintView(Cluster& cluster, const char* when) {
   if (!view.ok()) return;
   std::string isr;
   for (const std::uint32_t id : view->isr) {
-    isr += (isr.empty() ? "" : ",") + std::to_string(id);
+    isr.append(isr.empty() ? "" : ",").append(std::to_string(id));
   }
   std::printf("[%s] leader=broker%u epoch=%llu isr={%s} log_end=%lld hw=%lld\n",
               when, view->leader,

@@ -31,14 +31,12 @@ double GrayImage::RegionMean(int x0, int y0, int w, int h) const {
   return static_cast<double>(sum) / static_cast<double>(count);
 }
 
-std::string GrayImage::Serialize() const {
-  std::string out;
-  out.reserve(12 + pixels_.size());
-  codec::PutFixed32(&out, kImageMagic);
-  codec::PutFixed32(&out, static_cast<std::uint32_t>(width_));
-  codec::PutFixed32(&out, static_cast<std::uint32_t>(height_));
-  out.append(reinterpret_cast<const char*>(pixels_.data()), pixels_.size());
-  return out;
+void GrayImage::SerializeTo(std::string* out) const {
+  out->reserve(out->size() + serialized_size());
+  codec::PutFixed32(out, kImageMagic);
+  codec::PutFixed32(out, static_cast<std::uint32_t>(width_));
+  codec::PutFixed32(out, static_cast<std::uint32_t>(height_));
+  out->append(reinterpret_cast<const char*>(pixels_.data()), pixels_.size());
 }
 
 Result<GrayImage> GrayImage::Deserialize(std::string_view data) {

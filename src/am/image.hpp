@@ -4,8 +4,9 @@
 // configurable resolution.
 //
 // Images travel through the SPE as shared immutable objects (OpaqueValue) to
-// avoid copying megabytes per tuple, and serialize to/from bytes for the
-// pub/sub connectors and PGM files for visual inspection (Figure 4).
+// avoid copying megabytes per tuple, serialize to/from bytes for the tuple
+// codec (spe/codec.hpp: connectors, checkpoints, the durable sink), and to
+// PGM files for visual inspection (Figure 4).
 #pragma once
 
 #include <cstdint>
@@ -52,8 +53,13 @@ class GrayImage {
   /// the image bounds. Returns 0 for an empty intersection.
   [[nodiscard]] double RegionMean(int x0, int y0, int w, int h) const;
 
-  /// Serialization: fixed header (magic, width, height) + raw pixels.
-  [[nodiscard]] std::string Serialize() const;
+  /// Serialization: fixed header (magic, width, height) + raw pixels,
+  /// appended straight into *out (no frame-sized temporary).
+  static constexpr std::size_t kSerializedHeaderBytes = 12;
+  [[nodiscard]] std::size_t serialized_size() const noexcept {
+    return kSerializedHeaderBytes + pixels_.size();
+  }
+  void SerializeTo(std::string* out) const;
   [[nodiscard]] static Result<GrayImage> Deserialize(std::string_view data);
 
   /// Binary PGM (P5) I/O for human inspection.

@@ -277,32 +277,4 @@ Status DecodeValue(std::string_view* in, Value* out) {
   return Status::Corruption("DecodeValue: unknown kind byte");
 }
 
-Status EncodePayload(const Payload& payload, std::string* out) {
-  codec::PutVarint64(out, payload.size());
-  for (const auto& [k, v] : payload) {
-    codec::PutLengthPrefixed(out, k);
-    STRATA_RETURN_IF_ERROR(EncodeValue(v, out));
-  }
-  return Status::Ok();
-}
-
-Status DecodePayload(std::string_view* in, Payload* out) {
-  std::uint64_t n = 0;
-  if (!codec::GetVarint64(in, &n)) {
-    return Status::Corruption("DecodePayload: count underflow");
-  }
-  Payload result;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string_view key;
-    if (!codec::GetLengthPrefixed(in, &key)) {
-      return Status::Corruption("DecodePayload: key underflow");
-    }
-    Value v;
-    STRATA_RETURN_IF_ERROR(DecodeValue(in, &v));
-    result.Set(key, std::move(v));
-  }
-  *out = std::move(result);
-  return Status::Ok();
-}
-
 }  // namespace strata

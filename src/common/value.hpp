@@ -141,11 +141,11 @@ class Payload {
   std::vector<Entry> entries_;
 };
 
-/// Binary serialization of scalar Values (used by the KV store and pub/sub
-/// persistence). Opaque values are not serializable: returns InvalidArgument.
+/// Binary serialization of one scalar Value: the kind byte, then the value.
+/// The tuple codec (spe/codec.hpp) writes every scalar payload value with
+/// it and handles opaque values itself; here an opaque value is
+/// InvalidArgument on encode and Corruption on decode.
 [[nodiscard]] Status EncodeValue(const Value& value, std::string* out);
 [[nodiscard]] Status DecodeValue(std::string_view* in, Value* out);
-[[nodiscard]] Status EncodePayload(const Payload& payload, std::string* out);
-[[nodiscard]] Status DecodePayload(std::string_view* in, Payload* out);
 
 }  // namespace strata

@@ -5,37 +5,10 @@
 #include "common/codec.hpp"
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
-#include "common/value.hpp"
 #include "fault/failpoint.hpp"
 #include "obs/trace.hpp"
 
 namespace strata::spe {
-
-// ----------------------------------------------------------- tuple codec
-
-Status EncodeTupleSnapshot(const Tuple& tuple, std::string* out) {
-  codec::PutVarint64Signed(out, tuple.event_time);
-  codec::PutVarint64Signed(out, tuple.job);
-  codec::PutVarint64Signed(out, tuple.layer);
-  codec::PutVarint64Signed(out, tuple.specimen);
-  codec::PutVarint64Signed(out, tuple.portion);
-  codec::PutVarint64Signed(out, tuple.stimulus);
-  // EncodePayload rejects opaque values (images): operators buffering them
-  // cannot be checkpointed, and the epoch degrades to failed.
-  return EncodePayload(tuple.payload, out);
-}
-
-Status DecodeTupleSnapshot(std::string_view* in, Tuple* out) {
-  if (!codec::GetVarint64Signed(in, &out->event_time) ||
-      !codec::GetVarint64Signed(in, &out->job) ||
-      !codec::GetVarint64Signed(in, &out->layer) ||
-      !codec::GetVarint64Signed(in, &out->specimen) ||
-      !codec::GetVarint64Signed(in, &out->portion) ||
-      !codec::GetVarint64Signed(in, &out->stimulus)) {
-    return Status::Corruption("DecodeTupleSnapshot: truncated metadata");
-  }
-  return DecodePayload(in, &out->payload);
-}
 
 // -------------------------------------------------------------- manifest
 

@@ -17,8 +17,10 @@
 // epoch as the recovery point (same write-then-commit discipline as the kv
 // MANIFEST).
 //
-// Epochs that cannot complete (an operator is stuck, a snapshot codec is
-// missing, the store write failed) are timed out and counted as failures;
+// Operator snapshot layouts and the tuple codec they use live in
+// spe/codec.hpp. Epochs that cannot complete (an operator is stuck, an
+// aggregate has no accumulator codec, a buffered payload type has no tuple
+// codec, the store write failed) are timed out and counted as failures;
 // the query keeps running — checkpointing degrades, data processing never
 // stops. After `failure_warn_threshold` consecutive failures a sticky
 // degraded flag is raised and surfaced through the spe.checkpoint.* metrics.
@@ -34,21 +36,8 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "spe/tuple.hpp"
 
 namespace strata::spe {
-
-// ----------------------------------------------------------- tuple codec
-
-/// Serialize a tuple for an operator state snapshot (Join buffers, window
-/// contents). Scalar payloads only: opaque payload values (images) cannot be
-/// checkpointed and yield InvalidArgument, which the Checkpointer converts
-/// into a failed — not fatal — epoch. Trace context is transient and not
-/// preserved.
-[[nodiscard]] Status EncodeTupleSnapshot(const Tuple& tuple, std::string* out);
-
-/// Decode one tuple from a snapshot cursor (advances *in).
-[[nodiscard]] Status DecodeTupleSnapshot(std::string_view* in, Tuple* out);
 
 // -------------------------------------------------------------- manifest
 
@@ -177,8 +166,9 @@ class Checkpointer {
   void ReportSnapshot(const std::string& name, std::uint64_t epoch,
                       std::string blob);
 
-  /// An operator's snapshot attempt failed (missing codec, opaque payload):
-  /// the epoch can never complete, mark it failed now.
+  /// An operator's snapshot attempt failed (no accumulator codec, a payload
+  /// type without a tuple codec): the epoch can never complete, mark it
+  /// failed now.
   void ReportSnapshotFailure(const std::string& name, std::uint64_t epoch,
                              const Status& reason);
 

@@ -2,7 +2,6 @@
 
 #include <iterator>
 
-#include "common/codec.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 #include "spe/checkpoint.hpp"
@@ -549,17 +548,15 @@ Status AggregateOperator::SnapshotState(std::uint64_t /*epoch*/,
         "': AggregateSpec has no accumulator codec (set encode_acc/"
         "decode_acc to make this operator checkpointable)");
   }
-  codec::PutVarint64Signed(out, closed_horizon_);
-  codec::PutVarint64(out, windows_.size());
+  AggregateSnapshot snapshot;
+  snapshot.closed_horizon = closed_horizon_;
   for (const auto& [key, window] : windows_) {
-    codec::PutVarint64Signed(out, key.first);
-    codec::PutLengthPrefixed(out, key.second);
-    codec::PutVarint64Signed(out, window.max_stimulus);
-    codec::PutVarint64Signed(out, window.max_event_time);
-    std::string acc;
-    STRATA_RETURN_IF_ERROR(spec_.encode_acc(window.accumulator, &acc));
-    codec::PutLengthPrefixed(out, acc);
+    AggregateSnapshot::Window& record = snapshot.windows[key];
+    record.max_stimulus = window.max_stimulus;
+    record.max_event_time = window.max_event_time;
+    STRATA_RETURN_IF_ERROR(spec_.encode_acc(window.accumulator, &record.acc));
   }
+  snapshot.EncodeTo(out);
   return Status::Ok();
 }
 
@@ -569,44 +566,26 @@ Status AggregateOperator::RestoreState(std::string_view blob) {
     return Status::InvalidArgument("aggregate '" + name() +
                                    "': snapshot present but no decode_acc");
   }
-  std::string_view in = blob;
-  Timestamp horizon = 0;
-  std::uint64_t count = 0;
-  if (!codec::GetVarint64Signed(&in, &horizon) ||
-      !codec::GetVarint64(&in, &count)) {
-    return Status::Corruption("aggregate snapshot: truncated header");
-  }
+  auto snapshot = AggregateSnapshot::Decode(blob);
+  if (!snapshot.ok()) return snapshot.status();
   std::map<std::pair<Timestamp, std::string>, Window> windows;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Timestamp start = 0;
-    std::string_view key;
-    Window window;
-    std::string_view acc;
-    if (!codec::GetVarint64Signed(&in, &start) ||
-        !codec::GetLengthPrefixed(&in, &key) ||
-        !codec::GetVarint64Signed(&in, &window.max_stimulus) ||
-        !codec::GetVarint64Signed(&in, &window.max_event_time) ||
-        !codec::GetLengthPrefixed(&in, &acc)) {
-      return Status::Corruption("aggregate snapshot: truncated window");
-    }
-    auto decoded = spec_.decode_acc(acc);
+  for (auto& [key, record] : snapshot->windows) {
+    auto decoded = spec_.decode_acc(record.acc);
     if (!decoded.ok()) return decoded.status();
+    Window& window = windows[key];
     window.accumulator = std::move(*decoded);
-    windows.emplace(std::make_pair(start, std::string(key)),
-                    std::move(window));
-  }
-  if (!in.empty()) {
-    return Status::Corruption("aggregate snapshot: trailing bytes");
+    window.max_stimulus = record.max_stimulus;
+    window.max_event_time = record.max_event_time;
   }
   windows_ = std::move(windows);
-  closed_horizon_ = horizon;
+  closed_horizon_ = snapshot->closed_horizon;
   return Status::Ok();
 }
 
 // -------------------------------------------------------------------- Join
 
 JoinOperator::JoinOperator(std::string name, const Clock* clock, JoinSpec spec)
-    : Operator(std::move(name), clock), spec_(std::move(spec)), buffers_(2) {
+    : Operator(std::move(name), clock), spec_(std::move(spec)) {
   if (spec_.window < 0) {
     throw std::invalid_argument("JoinOperator: negative window");
   }
@@ -614,12 +593,12 @@ JoinOperator::JoinOperator(std::string name, const Clock* clock, JoinSpec spec)
 
 void JoinOperator::Evict() {
   // A buffered tuple on side S can only match future arrivals on the other
-  // side, whose event times are >= max_time_[other] (ordered streams). So a
-  // tuple with τ < max_time_[other] - window is dead.
+  // side, whose event times are >= max_time[other] (ordered streams). So a
+  // tuple with τ < max_time[other] - window is dead.
   for (int side = 0; side < 2; ++side) {
-    const Timestamp other_max = max_time_[1 - side];
+    const Timestamp other_max = state_.max_time[1 - side];
     if (other_max == std::numeric_limits<Timestamp>::min()) continue;
-    auto& buffer = buffers_[static_cast<std::size_t>(side)];
+    auto& buffer = state_.buffers[static_cast<std::size_t>(side)];
     while (!buffer.empty() &&
            buffer.front().second.event_time < other_max - spec_.window) {
       buffer.pop_front();
@@ -628,7 +607,7 @@ void JoinOperator::Evict() {
 }
 
 void JoinOperator::ProcessFrom(std::size_t side, Tuple tuple) {
-  max_time_[side] = std::max(max_time_[side], tuple.event_time);
+  state_.max_time[side] = std::max(state_.max_time[side], tuple.event_time);
 
   const KeyFn& my_key_fn = side == 0 ? spec_.key_left : spec_.key_right;
   const auto guarded_key =
@@ -637,7 +616,7 @@ void JoinOperator::ProcessFrom(std::size_t side, Tuple tuple) {
   const std::string& key = *guarded_key;
 
   // Probe the opposite buffer.
-  for (const auto& [other_key, other] : buffers_[1 - side]) {
+  for (const auto& [other_key, other] : state_.buffers[1 - side]) {
     if (key != other_key) continue;
     const Timestamp dt = tuple.event_time - other.event_time;
     if (dt > spec_.window || dt < -spec_.window) continue;
@@ -680,7 +659,7 @@ void JoinOperator::ProcessFrom(std::size_t side, Tuple tuple) {
     (void)Emit(std::move(joined));
   }
 
-  buffers_[side].emplace_back(key, std::move(tuple));
+  state_.buffers[side].emplace_back(key, std::move(tuple));
   Evict();
 }
 
@@ -745,47 +724,14 @@ void JoinOperator::Run() {
 }
 
 Status JoinOperator::SnapshotState(std::uint64_t /*epoch*/, std::string* out) {
-  for (std::size_t side = 0; side < 2; ++side) {
-    codec::PutVarint64(out, buffers_[side].size());
-    for (const auto& [key, tuple] : buffers_[side]) {
-      codec::PutLengthPrefixed(out, key);
-      STRATA_RETURN_IF_ERROR(EncodeTupleSnapshot(tuple, out));
-    }
-  }
-  codec::PutVarint64Signed(out, max_time_[0]);
-  codec::PutVarint64Signed(out, max_time_[1]);
-  return Status::Ok();
+  return state_.EncodeTo(out);
 }
 
 Status JoinOperator::RestoreState(std::string_view blob) {
   if (blob.empty()) return Status::Ok();
-  std::string_view in = blob;
-  std::vector<std::deque<std::pair<std::string, Tuple>>> buffers(2);
-  for (std::size_t side = 0; side < 2; ++side) {
-    std::uint64_t count = 0;
-    if (!codec::GetVarint64(&in, &count)) {
-      return Status::Corruption("join snapshot: truncated buffer count");
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string_view key;
-      if (!codec::GetLengthPrefixed(&in, &key)) {
-        return Status::Corruption("join snapshot: truncated key");
-      }
-      Tuple tuple;
-      STRATA_RETURN_IF_ERROR(DecodeTupleSnapshot(&in, &tuple));
-      buffers[side].emplace_back(std::string(key), std::move(tuple));
-    }
-  }
-  Timestamp left_max = 0;
-  Timestamp right_max = 0;
-  if (!codec::GetVarint64Signed(&in, &left_max) ||
-      !codec::GetVarint64Signed(&in, &right_max)) {
-    return Status::Corruption("join snapshot: truncated watermarks");
-  }
-  if (!in.empty()) return Status::Corruption("join snapshot: trailing bytes");
-  buffers_ = std::move(buffers);
-  max_time_[0] = left_max;
-  max_time_[1] = right_max;
+  auto state = JoinState::Decode(blob);
+  if (!state.ok()) return state.status();
+  state_ = std::move(state).value();
   return Status::Ok();
 }
 

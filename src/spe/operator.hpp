@@ -30,6 +30,7 @@
 #include "common/clock.hpp"
 #include "common/histogram.hpp"
 #include "spe/batch.hpp"
+#include "spe/codec.hpp"
 #include "spe/functions.hpp"
 #include "spe/stream.hpp"
 
@@ -577,7 +578,7 @@ class AggregateOperator final : public Operator {
   void Run() override;
 
   /// Serializes every open window (accumulators via spec_.encode_acc) plus
-  /// the closed horizon. Fails — failing the epoch, not the query — when the
+  /// the closed horizon as an AggregateSnapshot (spe/codec.hpp). Fails — failing the epoch, not the query — when the
   /// spec lacks the accumulator codec pair. Window trace context is
   /// transient and not preserved.
   [[nodiscard]] Status SnapshotState(std::uint64_t epoch,
@@ -624,8 +625,9 @@ class JoinOperator final : public Operator {
   JoinOperator(std::string name, const Clock* clock, JoinSpec spec);
   void Run() override;
 
-  /// Serializes both side buffers (scalar payloads only — opaque payloads
-  /// fail the epoch) and the per-side watermarks.
+  /// Serializes both side buffers and the per-side watermarks (JoinState,
+  /// spe/codec.hpp). Buffered OT frames and cluster reports are written
+  /// with their contents; a payload type without a codec fails the epoch.
   [[nodiscard]] Status SnapshotState(std::uint64_t epoch,
                                      std::string* out) override;
   [[nodiscard]] Status RestoreState(std::string_view blob) override;
@@ -635,9 +637,7 @@ class JoinOperator final : public Operator {
   void Evict();
 
   JoinSpec spec_;
-  std::vector<std::deque<std::pair<std::string, Tuple>>> buffers_;  // [L, R]
-  Timestamp max_time_[2] = {std::numeric_limits<Timestamp>::min(),
-                            std::numeric_limits<Timestamp>::min()};
+  JoinState state_;
 };
 
 }  // namespace strata::spe

@@ -6,7 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/codec.hpp"
+#include "spe/codec.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 #include "spe/checkpoint.hpp"
@@ -246,18 +246,6 @@ FusionPlan FuseStatelessChains(
 
 // -------------------------------------------------------- shard re-hashing
 
-namespace {
-
-/// One open window lifted out of an aggregate snapshot; the accumulator
-/// stays opaque bytes, so re-sharding needs no user codec.
-struct WindowRecord {
-  Timestamp max_stimulus = 0;
-  Timestamp max_event_time = 0;
-  std::string acc;
-};
-
-}  // namespace
-
 Status ReshardAggregateSnapshots(const std::vector<std::string>& old_blobs,
                                  std::size_t parallelism,
                                  std::vector<std::string>* new_blobs) {
@@ -267,69 +255,39 @@ Status ReshardAggregateSnapshots(const std::vector<std::string>& old_blobs,
   // Merge every window into one canonically-ordered map. A (start, key)
   // pair living in two old blobs means the old shards disagreed about key
   // ownership — corruption, not something to paper over.
-  std::map<std::pair<Timestamp, std::string>, WindowRecord> merged;
-  Timestamp horizon = std::numeric_limits<Timestamp>::min();
+  AggregateSnapshot merged;
   bool any_state = false;
   for (const std::string& blob : old_blobs) {
     if (blob.empty()) continue;  // fresh shard: nothing to merge
-    std::string_view in = blob;
-    Timestamp blob_horizon = 0;
-    std::uint64_t count = 0;
-    if (!codec::GetVarint64Signed(&in, &blob_horizon) ||
-        !codec::GetVarint64(&in, &count)) {
-      return Status::Corruption("reshard: truncated aggregate header");
-    }
-    any_state = true;
+    auto snapshot = AggregateSnapshot::Decode(blob);
+    if (!snapshot.ok()) return snapshot.status();
     // Max over shards: re-opening a window some shard already closed and
     // emitted would double-report; the max horizon trades bounded-lateness
     // drops for no duplicates.
-    horizon = std::max(horizon, blob_horizon);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Timestamp start = 0;
-      std::string_view key;
-      WindowRecord window;
-      std::string_view acc;
-      if (!codec::GetVarint64Signed(&in, &start) ||
-          !codec::GetLengthPrefixed(&in, &key) ||
-          !codec::GetVarint64Signed(&in, &window.max_stimulus) ||
-          !codec::GetVarint64Signed(&in, &window.max_event_time) ||
-          !codec::GetLengthPrefixed(&in, &acc)) {
-        return Status::Corruption("reshard: truncated aggregate window");
-      }
-      window.acc = std::string(acc);
-      const auto [it, inserted] = merged.emplace(
-          std::make_pair(start, std::string(key)), std::move(window));
-      if (!inserted) {
+    merged.closed_horizon =
+        std::max(merged.closed_horizon, snapshot->closed_horizon);
+    any_state = true;
+    for (auto& [key, window] : snapshot->windows) {
+      if (!merged.windows.emplace(key, std::move(window)).second) {
         return Status::Corruption("reshard: window (" +
-                                  std::to_string(start) + ", '" +
-                                  std::string(key) +
+                                  std::to_string(key.first) + ", '" +
+                                  key.second +
                                   "') present in two shard snapshots");
       }
-    }
-    if (!in.empty()) {
-      return Status::Corruption("reshard: trailing aggregate bytes");
     }
   }
 
   new_blobs->assign(parallelism, std::string());
   if (!any_state) return Status::Ok();  // all-fresh in, all-fresh out
 
-  std::vector<std::uint64_t> shard_counts(parallelism, 0);
-  for (const auto& [key, window] : merged) {
-    ++shard_counts[ShardOf(key.second, parallelism)];
+  std::vector<AggregateSnapshot> shards(parallelism);
+  for (auto& [key, window] : merged.windows) {
+    shards[ShardOf(key.second, parallelism)].windows.emplace(
+        key, std::move(window));
   }
   for (std::size_t s = 0; s < parallelism; ++s) {
-    std::string* out = &(*new_blobs)[s];
-    codec::PutVarint64Signed(out, horizon);  // every shard gets the horizon
-    codec::PutVarint64(out, shard_counts[s]);
-  }
-  for (const auto& [key, window] : merged) {
-    std::string* out = &(*new_blobs)[ShardOf(key.second, parallelism)];
-    codec::PutVarint64Signed(out, key.first);
-    codec::PutLengthPrefixed(out, key.second);
-    codec::PutVarint64Signed(out, window.max_stimulus);
-    codec::PutVarint64Signed(out, window.max_event_time);
-    codec::PutLengthPrefixed(out, window.acc);
+    shards[s].closed_horizon = merged.closed_horizon;  // every shard gets it
+    shards[s].EncodeTo(&(*new_blobs)[s]);
   }
   return Status::Ok();
 }
@@ -340,46 +298,25 @@ Status ReshardJoinSnapshots(const std::vector<std::string>& old_blobs,
   if (parallelism == 0) {
     return Status::InvalidArgument("reshard: parallelism must be > 0");
   }
-  struct Entry {
-    std::string key;
-    Tuple tuple;
-  };
+  using Entry = JoinState::Buffer::value_type;  // (key, tuple)
   std::vector<Entry> sides[2];
   Timestamp max_time[2] = {std::numeric_limits<Timestamp>::max(),
                            std::numeric_limits<Timestamp>::max()};
   bool any_state = false;
   for (const std::string& blob : old_blobs) {
     if (blob.empty()) continue;
-    std::string_view in = blob;
+    auto state = JoinState::Decode(blob);
+    if (!state.ok()) return state.status();
     for (std::size_t side = 0; side < 2; ++side) {
-      std::uint64_t count = 0;
-      if (!codec::GetVarint64(&in, &count)) {
-        return Status::Corruption("reshard: truncated join buffer count");
-      }
-      for (std::uint64_t i = 0; i < count; ++i) {
-        std::string_view key;
-        if (!codec::GetLengthPrefixed(&in, &key)) {
-          return Status::Corruption("reshard: truncated join key");
-        }
-        Entry entry;
-        entry.key = std::string(key);
-        STRATA_RETURN_IF_ERROR(DecodeTupleSnapshot(&in, &entry.tuple));
+      for (Entry& entry : state->buffers[side]) {
         sides[side].push_back(std::move(entry));
       }
+      // Min over shards: the watermark only drives eviction, and eviction
+      // is an optimization — the |τL-τR| <= window predicate still rejects
+      // stale pairs — so the conservative bound can never drop a matchable
+      // pair.
+      max_time[side] = std::min(max_time[side], state->max_time[side]);
     }
-    Timestamp blob_max[2] = {0, 0};
-    if (!codec::GetVarint64Signed(&in, &blob_max[0]) ||
-        !codec::GetVarint64Signed(&in, &blob_max[1])) {
-      return Status::Corruption("reshard: truncated join watermarks");
-    }
-    if (!in.empty()) {
-      return Status::Corruption("reshard: trailing join bytes");
-    }
-    // Min over shards: the watermark only drives eviction, and eviction is
-    // an optimization — the |τL-τR| <= window predicate still rejects stale
-    // pairs — so the conservative bound can never drop a matchable pair.
-    max_time[0] = std::min(max_time[0], blob_max[0]);
-    max_time[1] = std::min(max_time[1], blob_max[1]);
     any_state = true;
   }
 
@@ -389,34 +326,20 @@ Status ReshardJoinSnapshots(const std::vector<std::string>& old_blobs,
   // Restore the deque's front-oldest invariant (Evict pops from the front).
   // Stable: a key's entries all lived on one old shard, so ties keep their
   // original relative order and per-key order survives the merge.
-  for (auto& side : sides) {
-    std::stable_sort(side.begin(), side.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.tuple.event_time < b.tuple.event_time;
-                     });
-  }
-
-  std::vector<std::string> bodies[2];
-  std::vector<std::uint64_t> counts[2];
+  std::vector<JoinState> shards(parallelism);
   for (std::size_t side = 0; side < 2; ++side) {
-    bodies[side].assign(parallelism, std::string());
-    counts[side].assign(parallelism, 0);
-    for (const Entry& entry : sides[side]) {
-      const std::size_t s = ShardOf(entry.key, parallelism);
-      std::string* out = &bodies[side][s];
-      codec::PutLengthPrefixed(out, entry.key);
-      STRATA_RETURN_IF_ERROR(EncodeTupleSnapshot(entry.tuple, out));
-      ++counts[side][s];
+    std::stable_sort(sides[side].begin(), sides[side].end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.second.event_time < b.second.event_time;
+                     });
+    for (Entry& entry : sides[side]) {
+      shards[ShardOf(entry.first, parallelism)].buffers[side].push_back(
+          std::move(entry));
     }
   }
   for (std::size_t s = 0; s < parallelism; ++s) {
-    std::string* out = &(*new_blobs)[s];
-    for (std::size_t side = 0; side < 2; ++side) {
-      codec::PutVarint64(out, counts[side][s]);
-      out->append(bodies[side][s]);
-    }
-    codec::PutVarint64Signed(out, max_time[0]);
-    codec::PutVarint64Signed(out, max_time[1]);
+    shards[s].max_time = {max_time[0], max_time[1]};
+    STRATA_RETURN_IF_ERROR(shards[s].EncodeTo(&(*new_blobs)[s]));
   }
   return Status::Ok();
 }

@@ -88,9 +88,9 @@ struct FusionPlan {
 
 // ------------------------------------------------------- shard re-hashing
 //
-// Both helpers parse the operators' snapshot wire format directly (keys and
-// accumulator payloads stay opaque bytes), so re-sharding never needs the
-// user codecs.
+// Both helpers read and write the operators' own snapshot formats
+// (AggregateSnapshot, JoinState in spe/codec.hpp). Accumulators stay opaque
+// bytes, so re-sharding never needs the user codecs.
 
 /// Re-buckets AggregateOperator snapshots (any old shard count, including a
 /// single unsharded blob) into `parallelism` blobs. Every output blob gets

@@ -16,12 +16,10 @@ constexpr auto kPollTimeout = std::chrono::microseconds(2000);
 spe::SinkFn ConnectorPublisher::AsSinkFn() {
   return [this](const spe::Tuple& tuple) {
     std::string encoded;
-    Status encoded_status =
-        tagging_
-            ? EncodeTaggedTuple(TransportTag{epoch_, seq_ + 1}, tuple,
-                                &encoded)
-            : EncodeTuple(tuple, &encoded);
-    if (Status s = encoded_status; !s.ok()) {
+    const TransportTag tag =
+        tagging_ ? TransportTag{epoch_, seq_ + 1} : TransportTag{};
+    if (Status s = EncodeTaggedTuple(tag, tuple, &encoded); !s.ok()) {
+      encode_errors_.fetch_add(1, std::memory_order_relaxed);
       LOG_ERROR << "connector publish encode failed on topic " << topic_
                 << ": " << s.ToString();
       return;
@@ -53,7 +51,9 @@ std::function<void()> ConnectorPublisher::AsFinishHook() {
     spe::Tuple eos;
     eos.payload.Set(kEosKey, true);
     std::string encoded;
-    if (Status s = EncodeTuple(eos, &encoded); !s.ok()) return;
+    if (Status s = EncodeTaggedTuple(TransportTag{}, eos, &encoded); !s.ok()) {
+      return;
+    }
     (void)producer_->Send(topic_, "", std::move(encoded), 0);
   };
 }
@@ -139,7 +139,7 @@ bool ConnectorSubscriber::FillBuffer() {
     TraceContext sampled;  // first sampled tuple this poll delivered
     for (const ps::ConsumedRecord& record : *batch) {
       TransportTag tag;
-      auto tuple = DecodeMaybeTagged(record.value, &tag);
+      auto tuple = DecodeTaggedTuple(record.value, &tag);
       if (!tuple.ok()) {
         LOG_ERROR << "connector decode failed: " << tuple.status().ToString();
         continue;

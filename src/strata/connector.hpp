@@ -46,7 +46,7 @@ class ConnectorPublisher {
 
   /// SinkFn publishing each tuple.
   [[nodiscard]] spe::SinkFn AsSinkFn();
-  /// Finish hook publishing the EOS sentinel (always untagged).
+  /// Finish hook publishing the EOS sentinel (always tagged (0, 0)).
   [[nodiscard]] std::function<void()> AsFinishHook();
 
   /// Tag every published record with (epoch, seq) for effectively-once
@@ -60,6 +60,12 @@ class ConnectorPublisher {
   [[nodiscard]] spe::SnapshotFn AsSnapshotFn();
   [[nodiscard]] spe::RestoreFn AsRestoreFn();
 
+  /// Tuples the sink could not encode (a payload type without a codec);
+  /// each is logged and not published.
+  [[nodiscard]] std::uint64_t encode_errors() const noexcept {
+    return encode_errors_.load(std::memory_order_relaxed);
+  }
+
  private:
   std::unique_ptr<ps::ProducerClient> producer_;
   std::string topic_;
@@ -70,6 +76,7 @@ class ConnectorPublisher {
   // query starts.
   std::uint64_t epoch_ = 0;
   std::uint64_t seq_ = 0;  ///< last assigned sequence number (first tag is 1)
+  std::atomic<std::uint64_t> encode_errors_{0};
 };
 
 class ConnectorSubscriber {

@@ -290,6 +290,11 @@ spe::SinkOperator* Strata::PublishTo(const std::string& topic,
     publisher->EnableTagging();
     sink->SetStateHooks(publisher->AsSnapshotFn(), publisher->AsRestoreFn());
   }
+  registry_.RegisterCallback(
+      [topic, p = publisher.get()](obs::MetricsSnapshot* s) {
+        s->AddCounter("strata.connector.encode_errors", {{"topic", topic}},
+                      p->encode_errors());
+      });
   publishers_.push_back(std::move(publisher));
   return sink;
 }
@@ -507,31 +512,34 @@ spe::SinkOperator* Strata::DeliverDurable(
     const std::string& name, spe::StreamPtr in, std::string key_prefix,
     std::function<std::string(const spe::Tuple&)> key_fn) {
   if (!key_fn) throw std::invalid_argument("DeliverDurable: null key_fn");
-  auto duplicates = std::make_shared<std::atomic<std::uint64_t>>(0);
-  registry_.RegisterCallback([name, duplicates](obs::MetricsSnapshot* s) {
+  struct Counters {
+    std::atomic<std::uint64_t> duplicates{0};
+    std::atomic<std::uint64_t> errors{0};
+  };
+  auto counters = std::make_shared<Counters>();
+  registry_.RegisterCallback([name, counters](obs::MetricsSnapshot* s) {
     s->AddCounter("strata.deliver_durable.duplicates", {{"sink", name}},
-                  duplicates->load(std::memory_order_relaxed));
+                  counters->duplicates.load(std::memory_order_relaxed));
+    s->AddCounter("strata.deliver_durable.errors", {{"sink", name}},
+                  counters->errors.load(std::memory_order_relaxed));
   });
   kv::DB* db = kv_.get();
   spe::SinkFn fn = [db, prefix = std::move(key_prefix),
                     key_fn = std::move(key_fn),
-                    duplicates](const spe::Tuple& tuple) {
+                    counters](const spe::Tuple& tuple) {
     const std::string key = prefix + key_fn(tuple);
     // Existence check before write: a replayed tuple maps to the same key,
     // so the first delivery wins and the replay is a counted no-op.
     if (db->Get(key).ok()) {
-      duplicates->fetch_add(1, std::memory_order_relaxed);
+      counters->duplicates.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     std::string encoded;
-    if (Status s = EncodeTuple(tuple, &encoded); !s.ok()) {
-      LOG_ERROR << "DeliverDurable encode failed for " << key << ": "
-                << s.ToString();
-      return;
-    }
-    if (Status s = db->Put(key, encoded); !s.ok()) {
-      LOG_ERROR << "DeliverDurable write failed for " << key << ": "
-                << s.ToString();
+    Status s = EncodeTuple(tuple, &encoded);
+    if (s.ok()) s = db->Put(key, encoded);
+    if (!s.ok()) {
+      counters->errors.fetch_add(1, std::memory_order_relaxed);
+      LOG_ERROR << "DeliverDurable failed for " << key << ": " << s.ToString();
     }
   };
   return query_->AddSink(name, std::move(in), std::move(fn));

@@ -166,11 +166,13 @@ class Strata {
                              spe::SinkFn fn);
 
   /// Deliver with effectively-once semantics: each tuple is written to the
-  /// kv store at `key_prefix + key_fn(tuple)` (transport-encoded) only when
-  /// that key is absent, so checkpoint replay after a crash cannot
-  /// double-deliver a report. `key_fn` must be deterministic in the tuple
-  /// and unique per logical result. Skipped duplicates are counted under
-  /// the strata.deliver_durable.duplicates metric.
+  /// kv store at `key_prefix + key_fn(tuple)` (EncodeTuple bytes, so a
+  /// ClusterReportValue payload is stored whole) only when that key is
+  /// absent, so checkpoint replay after a crash cannot double-deliver a
+  /// report. `key_fn` must be deterministic in the tuple and unique per
+  /// logical result. Skipped duplicates are counted under the
+  /// strata.deliver_durable.duplicates metric; tuples that could not be
+  /// encoded or written under strata.deliver_durable.errors.
   spe::SinkOperator* DeliverDurable(
       const std::string& name, spe::StreamPtr in, std::string key_prefix,
       std::function<std::string(const spe::Tuple&)> key_fn);
@@ -252,7 +254,8 @@ class Strata {
                                                 spe::StreamPtr in,
                                                 PartitionKeyFn key_fn);
   /// Create `topic` on the connector transport (idempotent) and attach a
-  /// publishing sink for `in`, returning that sink.
+  /// publishing sink for `in`, returning that sink. Tuples it cannot encode
+  /// are counted under strata.connector.encode_errors{topic}.
   spe::SinkOperator* PublishTo(const std::string& topic, spe::StreamPtr in,
                                PartitionKeyFn key_fn);
   /// Subscribe to `topic` (created if missing) and return its source stream.

@@ -1,148 +1,21 @@
 #include "strata/transport.hpp"
 
 #include "common/codec.hpp"
-#include "common/crc32.hpp"
 
 namespace strata::core {
 
-namespace {
-// Payload entry markers.
-constexpr char kScalarMarker = 'S';
-constexpr char kImageMarker = 'I';
-// Optional trailing trace-context field (present only for sampled tuples, so
-// the unsampled common case pays zero bytes). Decoders accept either form;
-// tuples encoded by older builds simply have no trace.
-constexpr char kTraceMarker = 'T';
-// Leading byte of a tagged record (epoch + seq frame before the tuple body).
-constexpr char kTagMarker = 'E';
-}  // namespace
-
-Status EncodeTuple(const spe::Tuple& tuple, std::string* out) {
-  // The body is followed by a masked CRC-32C trailer. Structural checks
-  // alone cannot catch a bit flip inside a fixed-width field (a double's
-  // mantissa, an image pixel), and tuples cross process and network
-  // boundaries — any mutation must decode to a Status, never to silently
-  // different data.
-  const std::size_t start = out->size();
-  codec::PutVarint64Signed(out, tuple.event_time);
-  codec::PutVarint64Signed(out, tuple.job);
-  codec::PutVarint64Signed(out, tuple.layer);
-  codec::PutVarint64Signed(out, tuple.specimen);
-  codec::PutVarint64Signed(out, tuple.portion);
-  codec::PutVarint64Signed(out, tuple.stimulus);
-
-  codec::PutVarint64(out, tuple.payload.size());
-  for (const auto& [key, value] : tuple.payload) {
-    codec::PutLengthPrefixed(out, key);
-    if (value.kind() == ValueKind::kOpaque) {
-      const auto image =
-          std::dynamic_pointer_cast<const am::ImageValue>(value.AsOpaqueRef());
-      if (!image) {
-        return Status::InvalidArgument(
-            "EncodeTuple: unsupported opaque payload type under key '" + key +
-            "'");
-      }
-      out->push_back(kImageMarker);
-      codec::PutLengthPrefixed(out, image->image().Serialize());
-    } else {
-      out->push_back(kScalarMarker);
-      STRATA_RETURN_IF_ERROR(EncodeValue(value, out));
-    }
-  }
-  if (tuple.trace.sampled()) {
-    out->push_back(kTraceMarker);
-    codec::PutFixed64(out, tuple.trace.trace_id);
-    codec::PutFixed64(out, tuple.trace.parent_span);
-  }
-  const std::uint32_t crc =
-      Crc32c(std::string_view(*out).substr(start));
-  codec::PutFixed32(out, MaskCrc(crc));
-  return Status::Ok();
-}
-
-Result<spe::Tuple> DecodeTuple(std::string_view data) {
-  if (data.size() < 4) {
-    return Status::Corruption("DecodeTuple: missing checksum trailer");
-  }
-  std::string_view trailer = data.substr(data.size() - 4);
-  std::uint32_t masked = 0;
-  (void)codec::GetFixed32(&trailer, &masked);
-  data.remove_suffix(4);
-  if (UnmaskCrc(masked) != Crc32c(data)) {
-    return Status::Corruption("DecodeTuple: checksum mismatch");
-  }
-
-  spe::Tuple tuple;
-  std::uint64_t payload_count = 0;
-  if (!codec::GetVarint64Signed(&data, &tuple.event_time) ||
-      !codec::GetVarint64Signed(&data, &tuple.job) ||
-      !codec::GetVarint64Signed(&data, &tuple.layer) ||
-      !codec::GetVarint64Signed(&data, &tuple.specimen) ||
-      !codec::GetVarint64Signed(&data, &tuple.portion) ||
-      !codec::GetVarint64Signed(&data, &tuple.stimulus) ||
-      !codec::GetVarint64(&data, &payload_count)) {
-    return Status::Corruption("DecodeTuple: truncated metadata");
-  }
-
-  for (std::uint64_t i = 0; i < payload_count; ++i) {
-    std::string_view key;
-    if (!codec::GetLengthPrefixed(&data, &key) || data.empty()) {
-      return Status::Corruption("DecodeTuple: truncated payload entry");
-    }
-    const char marker = data.front();
-    data.remove_prefix(1);
-    if (marker == kImageMarker) {
-      std::string_view image_bytes;
-      if (!codec::GetLengthPrefixed(&data, &image_bytes)) {
-        return Status::Corruption("DecodeTuple: truncated image");
-      }
-      auto image = am::GrayImage::Deserialize(image_bytes);
-      if (!image.ok()) return image.status();
-      tuple.payload.Set(key, am::MakeImageValue(std::move(image).value()));
-    } else if (marker == kScalarMarker) {
-      Value value;
-      STRATA_RETURN_IF_ERROR(DecodeValue(&data, &value));
-      tuple.payload.Set(key, std::move(value));
-    } else {
-      return Status::Corruption("DecodeTuple: unknown payload marker");
-    }
-  }
-  if (!data.empty() && data.front() == kTraceMarker) {
-    data.remove_prefix(1);
-    if (!codec::GetFixed64(&data, &tuple.trace.trace_id) ||
-        !codec::GetFixed64(&data, &tuple.trace.parent_span)) {
-      return Status::Corruption("DecodeTuple: truncated trace context");
-    }
-  }
-  if (!data.empty()) return Status::Corruption("DecodeTuple: trailing bytes");
-  return tuple;
-}
-
 Status EncodeTaggedTuple(const TransportTag& tag, const spe::Tuple& tuple,
                          std::string* out) {
-  out->push_back(kTagMarker);
   codec::PutVarint64(out, tag.epoch);
   codec::PutVarint64(out, tag.seq);
   return EncodeTuple(tuple, out);
 }
 
-Result<spe::Tuple> DecodeMaybeTagged(std::string_view data,
+Result<spe::Tuple> DecodeTaggedTuple(std::string_view data,
                                      TransportTag* tag) {
-  *tag = TransportTag{};
-  if (!data.empty() && data.front() == kTagMarker) {
-    std::string_view rest = data.substr(1);
-    TransportTag parsed;
-    if (codec::GetVarint64(&rest, &parsed.epoch) &&
-        codec::GetVarint64(&rest, &parsed.seq)) {
-      auto tuple = DecodeTuple(rest);
-      if (tuple.ok()) {
-        *tag = parsed;
-        return tuple;
-      }
-      // A plain frame can legitimately start with the marker byte (it is a
-      // varint-encoded event_time prefix): fall through and let the body's
-      // CRC decide.
-    }
+  if (!codec::GetVarint64(&data, &tag->epoch) ||
+      !codec::GetVarint64(&data, &tag->seq)) {
+    return Status::Corruption("connector record: truncated tag");
   }
   return DecodeTuple(data);
 }

@@ -1,45 +1,43 @@
-// Tuple <-> pub/sub record codec used by STRATA's connectors (Raw Data
-// Connector, Event Connector). Scalar payload values use the common Value
-// codec; OT images (opaque GrayImage references) are special-cased so raw
-// sensor frames can cross the broker, and are re-wrapped as shared images on
-// the consuming side.
+// Connector record format: how a tuple travels through a pub/sub topic
+// between STRATA's connectors (Raw Data Connector, Event Connector).
+//
+// Every record is the publisher's effectively-once tag, (epoch, seq) as two
+// varints, followed by the tuple in the one tuple codec of spe/codec.hpp
+// (OT frames and cluster reports included, CRC-protected). A publisher that
+// is not tagging writes the tag (0, 0). The durable sink stores bare
+// EncodeTuple bytes, without a tag.
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
-#include "am/image.hpp"
 #include "common/status.hpp"
+#include "spe/codec.hpp"
 #include "spe/tuple.hpp"
 
 namespace strata::core {
 
-/// Serialize a tuple for transport. Supported payload values: all scalar
-/// kinds plus opaque GrayImage. Other opaque types -> InvalidArgument.
-[[nodiscard]] Status EncodeTuple(const spe::Tuple& tuple, std::string* out);
-
-[[nodiscard]] Result<spe::Tuple> DecodeTuple(std::string_view data);
+using spe::DecodeTuple;
+using spe::EncodeTuple;
 
 /// Effectively-once transport tag: the publisher's checkpoint epoch and a
 /// per-publisher monotonic sequence number. A checkpoint-recovered publisher
 /// replays tuples with their original tags, so a subscriber can drop
 /// duplicates by per-partition sequence floor (per-key ordering keeps the
-/// sequence monotonic within each partition).
+/// sequence monotonic within each partition). seq 0 means untagged.
 struct TransportTag {
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;
 };
 
-/// EncodeTuple preceded by a tag frame.
+/// Appends one connector record: the tag, then EncodeTuple.
 [[nodiscard]] Status EncodeTaggedTuple(const TransportTag& tag,
                                        const spe::Tuple& tuple,
                                        std::string* out);
 
-/// Decode a connector record that may or may not carry a tag (EOS sentinels
-/// and non-checkpointing deployments publish plain EncodeTuple frames).
-/// `*tag` is set to {0, 0} when the record is untagged. The tuple body's
-/// CRC disambiguates a genuine tag frame from a plain frame whose first
-/// byte happens to collide with the tag marker.
-[[nodiscard]] Result<spe::Tuple> DecodeMaybeTagged(std::string_view data,
+/// Decodes one connector record and stores its tag in *tag.
+[[nodiscard]] Result<spe::Tuple> DecodeTaggedTuple(std::string_view data,
                                                    TransportTag* tag);
 
 /// Partitioning key that keeps per-entity ordering through a topic:

@@ -17,6 +17,7 @@
 
 #include "am/history.hpp"
 #include "clustering/dbscan.hpp"
+#include "clustering/report.hpp"
 #include "strata/collectors.hpp"
 #include "strata/strata.hpp"
 
@@ -55,36 +56,10 @@ enum class CellLabel : int {
 [[nodiscard]] CellLabel ClassifyCell(double mean,
                                      const am::ThermalThresholds& thresholds);
 
-/// Per-(layer, specimen) result delivered to the expert.
-struct ClusterReport {
-  std::int64_t job = 0;
-  std::int64_t layer = 0;
-  std::int64_t specimen = 0;
-  std::vector<cluster::ClusterSummary> clusters;  // >= min_report_points
-  std::size_t window_events = 0;
-  std::size_t noise_events = 0;
-  /// Set when render_cluster_images is on.
-  std::shared_ptr<const am::GrayImage> rendering;
-};
-
-/// Opaque payload wrapper carrying a ClusterReport to the sink.
-class ClusterReportValue final : public OpaqueValue {
- public:
-  explicit ClusterReportValue(ClusterReport report)
-      : report_(std::move(report)) {}
-  [[nodiscard]] const char* TypeName() const noexcept override {
-    return "ClusterReport";
-  }
-  [[nodiscard]] std::size_t ApproxBytes() const noexcept override {
-    return sizeof(ClusterReport) + report_.clusters.size() * sizeof(cluster::ClusterSummary);
-  }
-  [[nodiscard]] const ClusterReport& report() const noexcept {
-    return report_;
-  }
-
- private:
-  ClusterReport report_;
-};
+/// Per-(layer, specimen) result delivered to the expert, and its payload
+/// wrapper (defined below the SPE so the tuple codec can encode it).
+using cluster::ClusterReport;
+using cluster::ClusterReportValue;
 
 // ---- Algorithm 1 user functions --------------------------------------------
 

@@ -53,7 +53,9 @@ TEST(GrayImage, SerializeRoundTrip) {
       image.set(x, y, static_cast<std::uint8_t>((x * 31 + y * 7) % 256));
     }
   }
-  const std::string bytes = image.Serialize();
+  std::string bytes;
+  image.SerializeTo(&bytes);
+  EXPECT_EQ(bytes.size(), image.serialized_size());
   auto decoded = GrayImage::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, image);
@@ -64,7 +66,8 @@ TEST(GrayImage, DeserializeRejectsGarbage) {
   EXPECT_FALSE(GrayImage::Deserialize("").ok());
   // Valid header but truncated pixel payload.
   GrayImage image(8, 8);
-  std::string bytes = image.Serialize();
+  std::string bytes;
+  image.SerializeTo(&bytes);
   bytes.pop_back();
   EXPECT_FALSE(GrayImage::Deserialize(bytes).ok());
 }

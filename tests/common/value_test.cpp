@@ -143,6 +143,8 @@ TEST(Payload, MergeCompatibleRejectsConflictAtomically) {
   EXPECT_FALSE(a.Has("y"));
 }
 
+// The scalar Value codec that the tuple codec writes every scalar payload
+// value with (spe/codec.hpp tests the whole tuple).
 TEST(PayloadCodec, RoundTripAllScalarKinds) {
   Payload p;
   p.Set("null", Value());
@@ -153,29 +155,40 @@ TEST(PayloadCodec, RoundTripAllScalarKinds) {
   p.Set("blob", Blob{0, 255, 7});
 
   std::string buf;
-  ASSERT_TRUE(EncodePayload(p, &buf).ok());
+  for (const auto& [key, value] : p) ASSERT_TRUE(EncodeValue(value, &buf).ok());
   std::string_view in(buf);
   Payload decoded;
-  ASSERT_TRUE(DecodePayload(&in, &decoded).ok());
+  for (const auto& [key, value] : p) {
+    Value v;
+    ASSERT_TRUE(DecodeValue(&in, &v).ok()) << key;
+    decoded.Set(key, std::move(v));
+  }
   EXPECT_TRUE(in.empty());
   EXPECT_EQ(p, decoded);
 }
 
 TEST(PayloadCodec, OpaqueIsNotSerializable) {
-  Payload p;
-  p.Set("img", Value(OpaqueRef(std::make_shared<const TestOpaque>(1))));
+  const Value opaque(OpaqueRef(std::make_shared<const TestOpaque>(1)));
   std::string buf;
-  EXPECT_EQ(EncodePayload(p, &buf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(EncodeValue(opaque, &buf).code(), StatusCode::kInvalidArgument);
+  // The opaque kind byte is not a scalar value either.
+  std::string_view in("\x06", 1);
+  Value v;
+  EXPECT_EQ(DecodeValue(&in, &v).code(), StatusCode::kCorruption);
 }
 
 TEST(PayloadCodec, DecodeRejectsTruncation) {
-  Payload p{{"key", Value("value")}};
-  std::string buf;
-  ASSERT_TRUE(EncodePayload(p, &buf).ok());
-  for (std::size_t cut = 1; cut < buf.size(); ++cut) {
-    std::string_view in(buf.data(), buf.size() - cut);
-    Payload out;
-    EXPECT_FALSE(DecodePayload(&in, &out).ok()) << "cut=" << cut;
+  for (const Value& value :
+       {Value("value"), Value(std::int64_t{1} << 40), Value(2.5),
+        Value(Blob{1, 2, 3}), Value(true)}) {
+    std::string buf;
+    ASSERT_TRUE(EncodeValue(value, &buf).ok());
+    for (std::size_t cut = 1; cut <= buf.size(); ++cut) {
+      std::string_view in(buf.data(), buf.size() - cut);
+      Value out;
+      EXPECT_FALSE(DecodeValue(&in, &out).ok())
+          << value.ToString() << " cut=" << cut;
+    }
   }
 }
 

@@ -80,13 +80,15 @@ TEST_F(DbTest, SnapshotSeesDeletesCorrectly) {
 TEST_F(DbTest, FlushPersistsToTable) {
   auto db = OpenDb();
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db->Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(db->Put("k" + n, "v" + n).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_GE(db->stats().flushes, 1u);
   EXPECT_GE(db->stats().live_tables, 1u);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(*db->Get("k" + std::to_string(i)), "v" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    EXPECT_EQ(*db->Get("k" + n), "v" + n);
   }
 }
 
@@ -175,9 +177,10 @@ TEST_F(DbTest, CompactionMergesTables) {
   options.compaction_trigger = 100;  // only manual compaction
   auto db = OpenDb(options);
   for (int round = 0; round < 5; ++round) {
+    const std::string r = std::to_string(round);
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(
-          db->Put("k" + std::to_string(i), "r" + std::to_string(round)).ok());
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(db->Put("k" + n, "r" + r).ok());
     }
     ASSERT_TRUE(db->Flush().ok());
   }
@@ -185,7 +188,8 @@ TEST_F(DbTest, CompactionMergesTables) {
   ASSERT_TRUE(db->CompactAll().ok());
   EXPECT_EQ(db->stats().live_tables, 1u);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(*db->Get("k" + std::to_string(i)), "r4");
+    const std::string n = std::to_string(i);
+    EXPECT_EQ(*db->Get("k" + n), "r4");
   }
 }
 
@@ -194,11 +198,13 @@ TEST_F(DbTest, CompactionDropsTombstones) {
   options.compaction_trigger = 100;
   auto db = OpenDb(options);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db->Put("k" + std::to_string(i), "v").ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(db->Put("k" + n, "v").ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db->Delete("k" + std::to_string(i)).ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(db->Delete("k" + n).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_TRUE(db->CompactAll().ok());
@@ -206,7 +212,8 @@ TEST_F(DbTest, CompactionDropsTombstones) {
   // should be empty or absent.
   EXPECT_LE(db->stats().live_tables, 1u);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(db->Get("k" + std::to_string(i)).status().IsNotFound());
+    const std::string n = std::to_string(i);
+    EXPECT_TRUE(db->Get("k" + n).status().IsNotFound());
   }
 }
 
@@ -301,7 +308,8 @@ TEST_F(DbTest, ConcurrentReadersWithWriter) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int i = 0; i < 2000; ++i) {
-      ASSERT_TRUE(db->Put("k" + std::to_string(i % 50), std::to_string(i)).ok());
+      const std::string n = std::to_string(i % 50);
+      ASSERT_TRUE(db->Put("k" + n, std::to_string(i)).ok());
     }
     stop = true;
   });

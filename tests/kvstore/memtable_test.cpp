@@ -124,7 +124,8 @@ TEST(MemTable, RandomizedAgainstModel) {
       mem.Add(seq, EntryType::kDelete, key, "");
       model[key][seq] = {EntryType::kDelete, ""};
     } else {
-      const std::string value = "v" + std::to_string(seq);
+      const std::string n = std::to_string(seq);
+      const std::string value = "v" + n;
       mem.Add(seq, EntryType::kPut, key, value);
       model[key][seq] = {EntryType::kPut, value};
     }

@@ -104,8 +104,8 @@ TEST_F(SSTableTest, IteratorFullScanIsSorted) {
   std::map<std::string, std::string> entries;
   Rng rng(5);
   for (int i = 0; i < 3000; ++i) {
-    entries["k" + std::to_string(rng.UniformInt(0, 1'000'000'000))] =
-        std::to_string(i);
+    const std::string n = std::to_string(rng.UniformInt(0, 1'000'000'000));
+    entries["k" + n] = std::to_string(i);
   }
   auto table = BuildTable(entries);
 

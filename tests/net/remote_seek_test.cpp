@@ -37,8 +37,8 @@ class RemoteSeekTest : public ::testing::Test {
   void Produce(const std::string& topic, int count) {
     auto producer = std::move(client_->NewProducer()).value();
     for (int i = 0; i < count; ++i) {
-      ASSERT_TRUE(
-          producer->Send(topic, "k", "v" + std::to_string(i), i).ok());
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(producer->Send(topic, "k", "v" + n, i).ok());
     }
   }
 

@@ -97,7 +97,8 @@ TEST_F(BrokerFaultTest, RestartServesIdenticalRecordsAndOffsets) {
     Broker broker(options);
     ASSERT_TRUE(broker.CreateTopic(tp_.topic, TopicConfig{1}).ok());
     for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(broker.Produce(tp_.topic, Rec("r" + std::to_string(i))).ok());
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(broker.Produce(tp_.topic, Rec("r" + n)).ok());
     }
     ASSERT_TRUE(broker.CommitOffset("readers", tp_, 25).ok());
   }  // destructor close; segments were fsync'd per append anyway
@@ -111,8 +112,8 @@ TEST_F(BrokerFaultTest, RestartServesIdenticalRecordsAndOffsets) {
   std::int64_t next = 0;
   ASSERT_TRUE((*log)->ReadFrom(0, 40, &records, &next).ok());
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(records[static_cast<std::size_t>(i)].value,
-              "r" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    EXPECT_EQ(records[static_cast<std::size_t>(i)].value, "r" + n);
   }
   auto committed = reopened.CommittedOffset("readers", tp_);
   ASSERT_TRUE(committed.ok());

@@ -24,9 +24,8 @@ class ConsumerTest : public ::testing::Test {
 
 TEST_F(ConsumerTest, ConsumesProducedRecords) {
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(producer_.Send("t", "k" + std::to_string(i),
-                               "v" + std::to_string(i), i)
-                    .ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(producer_.Send("t", "k" + n, "v" + n, i).ok());
   }
   auto consumer = std::move(Consumer::Create(&broker_, "t")).value();
   std::vector<ConsumedRecord> all;
@@ -246,7 +245,8 @@ TEST_F(ConsumerTest, RebalanceDropsUncommittedOffsetsOfRevokedPartitions) {
   int per_partition[2] = {0, 0};
   int key_index = 0;
   while (per_partition[0] < 2 || per_partition[1] < 2) {
-    auto sent = producer_.Send("t", "k" + std::to_string(key_index++), "v", 0);
+    const std::string n = std::to_string(key_index++);
+    auto sent = producer_.Send("t", "k" + n, "v", 0);
     ASSERT_TRUE(sent.ok());
     ++per_partition[sent->first];
   }
@@ -323,10 +323,8 @@ TEST_F(ConsumerTest, RebalanceUnderLoadLosesNoRecords) {
   constexpr int kCount = 4000;
   std::thread producer_thread([&] {
     for (int i = 0; i < kCount; ++i) {
-      ASSERT_TRUE(producer_
-                      .Send("t", "k" + std::to_string(i % 64),
-                            std::to_string(i), i)
-                      .ok());
+      const std::string n = std::to_string(i % 64);
+      ASSERT_TRUE(producer_.Send("t", "k" + n, std::to_string(i), i).ok());
       if (i % 400 == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -494,8 +492,8 @@ TEST_F(ConsumerTest, EndToEndThroughputManyRecords) {
   constexpr int kCount = 20'000;
   std::thread producer_thread([&] {
     for (int i = 0; i < kCount; ++i) {
-      ASSERT_TRUE(
-          producer_.Send("t", "k" + std::to_string(i % 100), "v", i).ok());
+      const std::string n = std::to_string(i % 100);
+      ASSERT_TRUE(producer_.Send("t", "k" + n, "v", i).ok());
     }
   });
   auto consumer = std::move(Consumer::Create(&broker_, "t")).value();

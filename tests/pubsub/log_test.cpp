@@ -121,9 +121,8 @@ TEST(PartitionLog, PersistenceReloadsRecords) {
   {
     auto log = std::move(PartitionLog::Open(options)).value();
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(log->Append(MakeRecord("k" + std::to_string(i),
-                                         "v" + std::to_string(i), i))
-                      .ok());
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(log->Append(MakeRecord("k" + n, "v" + n, i)).ok());
     }
   }
   auto log = std::move(PartitionLog::Open(options)).value();

@@ -169,7 +169,8 @@ TEST(ReplCluster, FollowersCatchUpAndHwAdvances) {
 
   net::RemoteProducer producer(cluster.ClientOptions(net::ProduceAcks::kQuorum));
   for (int i = 0; i < 50; ++i) {
-    auto sent = producer.Send("events", "k", "v" + std::to_string(i), 0);
+    const std::string n = std::to_string(i);
+    auto sent = producer.Send("events", "k", "v" + n, 0);
     ASSERT_TRUE(sent.ok()) << sent.status().ToString();
   }
 

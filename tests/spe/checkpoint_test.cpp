@@ -1,5 +1,6 @@
-// Epoch-barrier checkpointing: codec round-trips, coordinator state machine,
-// barrier alignment, and full query checkpoint -> crash -> recover flows.
+// Epoch-barrier checkpointing: snapshot codec round-trips, coordinator state
+// machine, barrier alignment, and full query checkpoint -> crash -> recover
+// flows.
 #include "spe/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <thread>
 #include <utility>
 
+#include "am/image.hpp"
 #include "common/codec.hpp"
+#include "common/crc32.hpp"
 #include "spe/aggregates.hpp"
 #include "spe/query.hpp"
 #include "spe_test_util.hpp"
@@ -34,7 +37,7 @@ bool WaitUntil(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
   return true;
 }
 
-// ----------------------------------------------------------- tuple codec
+// ------------------------------------------------ tuples inside snapshots
 
 TEST(TupleSnapshotCodec, RoundTripPreservesFieldsAndCursor) {
   Tuple a = testutil::MakeTuple(123, 7, 9);
@@ -45,20 +48,30 @@ TEST(TupleSnapshotCodec, RoundTripPreservesFieldsAndCursor) {
   a.payload.Set("mean", 1.5);
   a.payload.Set("tag", "porosity");
   a.payload.Set("ok", true);
+  a.trace = TraceContext{0xabc, 0xdef};
 
   Tuple b = testutil::MakeTuple(-10, 1, 0);  // negative times survive zigzag
+  am::GrayImage frame(6, 4);
+  frame.set(5, 3, 200);
+  b.payload.Set("ot_image", am::MakeImageValue(frame));
 
+  JoinState state;
+  state.buffers[0].emplace_back("ka", a);
+  state.buffers[0].emplace_back("kb", b);
+  state.buffers[1].emplace_back("kb", b);
+  state.max_time = {123, -10};
   std::string blob;
-  ASSERT_TRUE(EncodeTupleSnapshot(a, &blob).ok());
-  ASSERT_TRUE(EncodeTupleSnapshot(b, &blob).ok());
+  ASSERT_TRUE(state.EncodeTo(&blob).ok());
 
-  std::string_view cursor(blob);
-  Tuple da;
-  Tuple db;
-  ASSERT_TRUE(DecodeTupleSnapshot(&cursor, &da).ok());
-  ASSERT_TRUE(DecodeTupleSnapshot(&cursor, &db).ok());
-  EXPECT_TRUE(cursor.empty());
-
+  auto decoded = JoinState::Decode(blob);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->buffers[0].size(), 2u);
+  ASSERT_EQ(decoded->buffers[1].size(), 1u);
+  EXPECT_EQ(decoded->max_time, state.max_time);
+  const auto& [ka, da] = decoded->buffers[0][0];
+  const auto& [kb, db] = decoded->buffers[0][1];
+  EXPECT_EQ(ka, "ka");
+  EXPECT_EQ(kb, "kb");
   EXPECT_EQ(da.event_time, a.event_time);
   EXPECT_EQ(da.job, a.job);
   EXPECT_EQ(da.layer, a.layer);
@@ -66,8 +79,12 @@ TEST(TupleSnapshotCodec, RoundTripPreservesFieldsAndCursor) {
   EXPECT_EQ(da.portion, a.portion);
   EXPECT_EQ(da.stimulus, a.stimulus);
   EXPECT_EQ(da.payload, a.payload);
+  EXPECT_EQ(da.trace.trace_id, a.trace.trace_id);
+  EXPECT_EQ(da.trace.parent_span, a.trace.parent_span);
   EXPECT_EQ(db.event_time, b.event_time);
-  EXPECT_EQ(db.payload, b.payload);
+  // Opaque == is pointer identity: compare the restored pixels.
+  EXPECT_EQ(db.payload.Get("ot_image").AsOpaque<am::ImageValue>()->image(),
+            frame);
 }
 
 struct FakeImage final : OpaqueValue {
@@ -77,20 +94,48 @@ struct FakeImage final : OpaqueValue {
   [[nodiscard]] std::size_t ApproxBytes() const noexcept override { return 64; }
 };
 
-TEST(TupleSnapshotCodec, OpaquePayloadCannotBeCheckpointed) {
+TEST(TupleSnapshotCodec, UnregisteredOpaqueTypeIsInvalidArgument) {
   Tuple t = testutil::MakeTuple(1);
   t.payload.Set("image", OpaqueRef(std::make_shared<FakeImage>()));
+  std::string bytes;
+  const Status encoded = EncodeTuple(t, &bytes);
+  EXPECT_EQ(encoded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(encoded.message().find("fake-image"), std::string::npos)
+      << encoded.ToString();
+
+  // A join buffering it fails the snapshot (and so the epoch), not the query.
+  JoinState state;
+  state.buffers[1].emplace_back("k", t);
   std::string blob;
-  EXPECT_FALSE(EncodeTupleSnapshot(t, &blob).ok());
+  EXPECT_EQ(state.EncodeTo(&blob).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TupleSnapshotCodec, UnknownOpaqueTagIsCorruption) {
+  Tuple t = testutil::MakeTuple(1);
+  t.payload.Set("k", am::MakeImageValue(am::GrayImage(2, 2)));
+  std::string bytes;
+  ASSERT_TRUE(EncodeTuple(t, &bytes).ok());
+  // Key "k" (length-prefixed), then the opaque kind byte and the type tag.
+  const std::size_t entry = bytes.find(std::string("\x01k\x06", 3));
+  ASSERT_NE(entry, std::string::npos);
+  bytes[entry + 3] = 'Z';
+  // Re-seal the trailer so the tag, not the checksum, is what decoding sees.
+  bytes.resize(bytes.size() - 4);
+  codec::PutFixed32(&bytes, MaskCrc(Crc32c(bytes)));
+  const auto decoded = DecodeTuple(bytes);
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
 TEST(TupleSnapshotCodec, TruncatedInputIsCorruption) {
-  Tuple t = testutil::MakeValueTuple(5, 2.5);
+  JoinState state;
+  state.buffers[0].emplace_back("k", testutil::MakeValueTuple(5, 2.5));
   std::string blob;
-  ASSERT_TRUE(EncodeTupleSnapshot(t, &blob).ok());
-  std::string_view cursor(std::string_view(blob).substr(0, 2));
-  Tuple out;
-  EXPECT_FALSE(DecodeTupleSnapshot(&cursor, &out).ok());
+  ASSERT_TRUE(state.EncodeTo(&blob).ok());
+  for (std::size_t cut = 1; cut <= blob.size(); ++cut) {
+    const auto decoded =
+        JoinState::Decode(std::string_view(blob).substr(0, blob.size() - cut));
+    EXPECT_TRUE(decoded.status().IsCorruption()) << "cut=" << cut;
+  }
 }
 
 // -------------------------------------------------------------- manifest

@@ -26,10 +26,18 @@ struct JoinCase {
 
 std::string PrintCase(const ::testing::TestParamInfo<JoinCase>& info) {
   const JoinCase& c = info.param;
-  return "l" + std::to_string(c.left_count) + "_r" +
-         std::to_string(c.right_count) + "_w" + std::to_string(c.window) +
-         "_k" + std::to_string(c.key_cardinality) + "_g" +
-         std::to_string(c.max_gap) + "_s" + std::to_string(c.seed);
+  return std::string("l")
+      .append(std::to_string(c.left_count))
+      .append("_r")
+      .append(std::to_string(c.right_count))
+      .append("_w")
+      .append(std::to_string(c.window))
+      .append("_k")
+      .append(std::to_string(c.key_cardinality))
+      .append("_g")
+      .append(std::to_string(c.max_gap))
+      .append("_s")
+      .append(std::to_string(c.seed));
 }
 
 std::vector<Tuple> RandomStream(Rng& rng, int count, int key_cardinality,

@@ -639,8 +639,9 @@ TEST(ReshardSnapshots, JoinBuffersRehashSortAndKeepMinWatermark) {
     codec::PutVarint64(&blob, left.size());
     for (const auto& [key, event_time] : left) {
       codec::PutLengthPrefixed(&blob, key);
-      Tuple t = testutil::MakeTuple(event_time);
-      EXPECT_TRUE(EncodeTupleSnapshot(t, &blob).ok());
+      std::string record;
+      EXPECT_TRUE(EncodeTuple(testutil::MakeTuple(event_time), &record).ok());
+      codec::PutLengthPrefixed(&blob, record);
     }
     codec::PutVarint64(&blob, 0);  // right side empty
     codec::PutVarint64Signed(&blob, max_left);
@@ -663,12 +664,14 @@ TEST(ReshardSnapshots, JoinBuffersRehashSortAndKeepMinWatermark) {
   for (std::uint64_t i = 0; i < count; ++i) {
     std::string_view key;
     ASSERT_TRUE(codec::GetLengthPrefixed(&in, &key));
-    Tuple t;
-    ASSERT_TRUE(DecodeTupleSnapshot(&in, &t).ok());
+    std::string_view record;
+    ASSERT_TRUE(codec::GetLengthPrefixed(&in, &record));
+    auto t = DecodeTuple(record);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
     // Merged buffer must be event-time ordered (the deque's front-oldest
     // invariant that Evict relies on).
-    EXPECT_GE(t.event_time, last);
-    last = t.event_time;
+    EXPECT_GE(t->event_time, last);
+    last = t->event_time;
   }
   ASSERT_TRUE(codec::GetVarint64(&in, &count));
   EXPECT_EQ(count, 0u);

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "am/image.hpp"
 #include "strata/api.hpp"
 
 namespace strata::core {
@@ -151,7 +152,7 @@ class TaggedConnectorTest : public ::testing::Test {
     std::int64_t next = 0;
     ASSERT_TRUE((*log)->ReadFrom(offset, 1, &records, &next).ok());
     ASSERT_EQ(records.size(), 1u);
-    auto decoded = DecodeMaybeTagged(records[0].value, tag);
+    auto decoded = DecodeTaggedTuple(records[0].value, tag);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     *tuple = std::move(*decoded);
   }
