@@ -284,6 +284,7 @@ void Checkpointer::ReportSnapshotFailure(const std::string& name,
 
 void Checkpointer::OnOperatorFinished(const std::string& name) {
   std::lock_guard lock(mu_);
+  ++finish_reports_;
   finished_[name] = true;
   if (inflight_epoch_ == 0 || inflight_failed_) return;
   for (const std::string& registered : registered_) {
@@ -306,6 +307,7 @@ Checkpointer::Stats Checkpointer::stats() const {
   stats.last_completed_age_us =
       last_completed_at_us_ < 0 ? -1 : NowUs() - last_completed_at_us_;
   stats.consecutive_failures = consecutive_failures_;
+  stats.finish_reports = finish_reports_;
   stats.degraded = degraded_;
   return stats;
 }

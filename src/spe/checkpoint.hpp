@@ -189,6 +189,8 @@ class Checkpointer {
     /// Microseconds since the last epoch committed; -1 before the first.
     std::int64_t last_completed_age_us = -1;
     std::uint64_t consecutive_failures = 0;
+    /// OnOperatorFinished calls: one per registered operator that exited.
+    std::uint64_t finish_reports = 0;
     /// Sticky: `failure_warn_threshold` consecutive epochs failed.
     bool degraded = false;
   };
@@ -230,6 +232,7 @@ class Checkpointer {
   std::uint64_t last_completed_epoch_ = 0;
   std::int64_t last_completed_at_us_ = -1;
   std::uint64_t consecutive_failures_ = 0;
+  std::uint64_t finish_reports_ = 0;
   bool degraded_ = false;
   bool degraded_logged_ = false;
 
