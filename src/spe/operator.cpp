@@ -1,7 +1,5 @@
 #include "spe/operator.hpp"
 
-#include <iterator>
-
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 #include "spe/checkpoint.hpp"
@@ -9,24 +7,6 @@
 namespace strata::spe {
 
 namespace {
-/// Poll interval for multi-input operators alternating between streams.
-constexpr auto kPollInterval = std::chrono::microseconds(1000);
-
-/// Span covering one drained batch: active iff tracing is on and the batch
-/// carries a sampled tuple (the batch's trace is its first sampled tuple's
-/// context — see tuple.hpp). Inactive scopes are free apart from the gate's
-/// single relaxed load + branch.
-obs::SpanScope BatchSpan(const char* category, const std::string& name,
-                         const TupleBatch& batch) {
-  if (!obs::TracingEnabled()) return {};
-  for (const Tuple& tuple : batch) {
-    if (tuple.trace.sampled()) {
-      return obs::SpanScope(name.c_str(), category, tuple.trace, batch.size());
-    }
-  }
-  return {};
-}
-
 /// Source-side tracing for a handed-over batch: continues the trace already
 /// carried by a sampled tuple (e.g. decoded by a connector from the broker),
 /// otherwise makes a fresh per-batch sampling decision. `t0` is when the
@@ -68,37 +48,6 @@ void TraceSourceBatch(const std::string& name, std::int64_t t0,
   }
 }
 
-/// Shared alignment-resolution loop for multi-input operators: completes
-/// aligned epochs and replays tuples held behind barriers — which may
-/// themselves contain the next barrier, hence the loop. `complete` must run
-/// before the replay: held tuples sit after the barrier and belong to the
-/// next epoch, so they must not be processed before the snapshot.
-template <typename Ingest, typename Complete>
-void SettleBarriers(BarrierAligner* aligner, std::size_t inputs,
-                    const bool& open, Ingest&& ingest, Complete&& complete) {
-  for (;;) {
-    const std::uint64_t epoch = aligner->TryComplete();
-    if (epoch != 0) complete(epoch);
-    bool replayed = false;
-    for (std::size_t i = 0; i < inputs && open; ++i) {
-      if (aligner->blocked(i)) continue;
-      TupleBatch held = aligner->TakeHeld(i);
-      if (!held.empty()) {
-        ingest(i, std::move(held));
-        replayed = true;
-      }
-    }
-    if (!open || (epoch == 0 && !replayed)) return;
-  }
-}
-
-/// Splits off everything behind position `k` in `batch` (exclusive) — the
-/// tuples a multi-input operator must hold back behind a barrier.
-TupleBatch SplitHeld(TupleBatch* batch, std::size_t k) {
-  TupleBatch held(std::make_move_iterator(batch->begin() + static_cast<std::ptrdiff_t>(k)),
-                  std::make_move_iterator(batch->end()));
-  return held;
-}
 }  // namespace
 
 // ---------------------------------------------------------------- Operator
@@ -123,17 +72,36 @@ Status Operator::RestoreState(std::string_view blob) {
                                  "': non-empty snapshot but no restore path");
 }
 
-void Operator::CompleteBarrier(std::uint64_t epoch) {
-  FlushEmit();  // no partial batch may straddle the epoch boundary
-  if (checkpointer_ != nullptr) {
-    std::string blob;
-    const Status snapshot = SnapshotState(epoch, &blob);
-    if (snapshot.ok()) {
-      checkpointer_->ReportSnapshot(name(), epoch, std::move(blob));
-    } else {
-      checkpointer_->ReportSnapshotFailure(name(), epoch, snapshot);
+obs::SpanScope Operator::BatchSpan(const char* category,
+                                   const TupleBatch& batch) const {
+  if (!obs::TracingEnabled()) return {};
+  for (const Tuple& tuple : batch) {
+    if (tuple.trace.sampled()) {
+      return obs::SpanScope(name_.c_str(), category, tuple.trace,
+                            batch.size());
     }
   }
+  return {};
+}
+
+void Operator::ReportSnapshotTo(Checkpointer* checkpointer,
+                                std::uint64_t epoch) {
+  std::string blob;
+  const Status snapshot = SnapshotState(epoch, &blob);
+  if (snapshot.ok()) {
+    checkpointer->ReportSnapshot(name(), epoch, std::move(blob));
+  } else {
+    checkpointer->ReportSnapshotFailure(name(), epoch, snapshot);
+  }
+}
+
+void Operator::ReportSnapshots(std::uint64_t epoch) {
+  ReportSnapshotTo(checkpointer_, epoch);
+}
+
+void Operator::CompleteBarrier(std::uint64_t epoch) {
+  FlushEmit();  // no partial batch may straddle the epoch boundary
+  if (checkpointer_ != nullptr) ReportSnapshots(epoch);
   ForwardBarrier(epoch);
 }
 
@@ -245,180 +213,72 @@ void SourceOperator::RunBatchLoop() {
 // ----------------------------------------------------------------- FlatMap
 
 void FlatMapOperator::Run() {
-  bool open = true;
-  while (open) {
-    auto batch = inputs_[0]->PopBatch(batch_size());
-    if (!batch.has_value()) break;  // input closed and drained
-    CountIn(batch->size());
-    obs::SpanScope span = BatchSpan("spe.flatmap", name(), *batch);
-    for (Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        CompleteBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      auto results = Guarded([&] { return fn_(tuple); });
-      if (!results.has_value()) continue;  // user error: drop this tuple
-      for (Tuple& out : *results) {
-        if (out.stimulus == 0) out.stimulus = tuple.stimulus;
-        if (span.active()) out.trace = span.EmitContext();
-        if (!(open = Emit(std::move(out)))) break;
-      }
-      if (!open) break;
+  RunSingleInput("spe.flatmap", [this](Tuple& tuple,
+                                       const obs::SpanScope& span) {
+    auto results = Guarded([&] { return fn_(tuple); });
+    if (!results.has_value()) return;  // user error: drop this tuple
+    for (Tuple& out : *results) {
+      if (out.stimulus == 0) out.stimulus = tuple.stimulus;
+      if (span.active()) out.trace = span.EmitContext();
+      if (!Emit(std::move(out))) return;
     }
-    if (open) MaybeFlush(inputs_[0]->depth() == 0);
-  }
-  if (!open) CloseInputs();  // early exit: downstream consumers are gone
-  CloseOutputs();
+  });
 }
 
 // ------------------------------------------------------------------ Filter
 
 void FilterOperator::Run() {
-  bool open = true;
-  while (open) {
-    auto batch = inputs_[0]->PopBatch(batch_size());
-    if (!batch.has_value()) break;
-    CountIn(batch->size());
-    obs::SpanScope span = BatchSpan("spe.filter", name(), *batch);
-    for (Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        CompleteBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      const auto keep = Guarded([&] { return fn_(tuple); });
-      if (!keep.value_or(false)) continue;
-      if (span.active()) tuple.trace = span.EmitContext();
-      if (!(open = Emit(std::move(tuple)))) break;
-    }
-    if (open) MaybeFlush(inputs_[0]->depth() == 0);
-  }
-  if (!open) CloseInputs();
-  CloseOutputs();
+  RunSingleInput("spe.filter", [this](Tuple& tuple,
+                                      const obs::SpanScope& span) {
+    const auto keep = Guarded([&] { return fn_(tuple); });
+    if (!keep.value_or(false)) return;
+    if (span.active()) tuple.trace = span.EmitContext();
+    (void)Emit(std::move(tuple));
+  });
 }
 
 // ------------------------------------------------------------------ Router
 
 void RouterOperator::Run() {
+  // Barriers broadcast to every parallel instance (CompleteBarrier), not to
+  // one shard.
   const std::size_t n = outputs_.size();
-  bool open = true;
-  while (open) {
-    auto batch = inputs_[0]->PopBatch(batch_size());
-    if (!batch.has_value()) break;
-    CountIn(batch->size());
-    obs::SpanScope span = BatchSpan("spe.router", name(), *batch);
-    for (Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        // Barriers broadcast to every parallel instance, not to one shard.
-        CompleteBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      const auto key = Guarded([&] { return key_(tuple); });
-      if (!key.has_value()) continue;
-      if (span.active()) tuple.trace = span.EmitContext();
-      if (!(open = EmitTo(ShardOf(*key, n), std::move(tuple)))) break;
-    }
-    if (open) MaybeFlush(inputs_[0]->depth() == 0);
-  }
-  if (!open) CloseInputs();
-  CloseOutputs();
+  RunSingleInput("spe.router", [this, n](Tuple& tuple,
+                                         const obs::SpanScope& span) {
+    const auto key = Guarded([&] { return key_(tuple); });
+    if (!key.has_value()) return;
+    if (span.active()) tuple.trace = span.EmitContext();
+    (void)EmitTo(ShardOf(*key, n), std::move(tuple));
+  });
 }
 
 // ------------------------------------------------------------------- Union
 
 void UnionOperator::Run() {
-  const std::size_t n = inputs_.size();
-  BarrierAligner aligner(n);
-  bool open = true;
-
-  // Processes one drained batch from input `i`, stopping at a barrier: the
-  // epoch and the tuples behind it go to the aligner, and the input is
-  // blocked (not polled) until every live input aligns.
-  auto ingest = [&](std::size_t i, TupleBatch batch) {
-    obs::SpanScope span = BatchSpan("spe.union", name(), batch);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      Tuple& tuple = batch[k];
-      if (tuple.IsBarrier()) {
-        const std::uint64_t epoch = tuple.barrier_epoch;
-        aligner.Arrive(i, epoch, SplitHeld(&batch, k + 1));
-        return;
-      }
-      if (span.active()) tuple.trace = span.EmitContext();
-      if (!(open = Emit(std::move(tuple)))) return;
-    }
-  };
-  auto settle = [&] {
-    SettleBarriers(&aligner, n, open, ingest,
-                   [&](std::uint64_t epoch) { CompleteBarrier(epoch); });
-  };
-
-  while (!aligner.AllDone() && open) {
-    bool progressed = false;
-    for (std::size_t i = 0; i < n && open; ++i) {
-      if (aligner.done(i) || aligner.blocked(i)) continue;
-      // Drain whatever is immediately available from this input.
-      while (open && !aligner.blocked(i)) {
-        auto batch = inputs_[i]->TryPopBatch(batch_size());
-        if (!batch.has_value()) break;
-        CountIn(batch->size());
-        ingest(i, std::move(*batch));
-        progressed = true;
-      }
-      if (!aligner.blocked(i) && inputs_[i]->drained()) {
-        // A blocked input is never marked done here: its barrier still
-        // gates alignment, and it is re-examined once unblocked.
-        aligner.MarkDone(i);
-        progressed = true;
-      }
-    }
-    settle();
-    if (!open || aligner.AllDone()) break;
-    if (progressed) {
-      MaybeFlush(/*input_idle=*/false);
-      continue;
-    }
-    // Nothing available anywhere: flush what we buffered (don't sit on
-    // tuples while parked), then block briefly on the first live, unblocked
-    // input. One exists — were every live input blocked, settle() would
-    // have completed or skew-unblocked the alignment.
-    FlushEmit();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (aligner.done(i) || aligner.blocked(i)) continue;
-      if (auto batch = inputs_[i]->PopBatchFor(kPollInterval, batch_size())) {
-        CountIn(batch->size());
-        ingest(i, std::move(*batch));
-        settle();
-      }
-      break;
-    }
-  }
-  if (!open) CloseInputs();
-  CloseOutputs();
+  RunAligned("spe.union", [this](std::size_t, Tuple& tuple,
+                                 const obs::SpanScope& span) {
+    if (span.active()) tuple.trace = span.EmitContext();
+    (void)Emit(std::move(tuple));
+  });
 }
 
 // -------------------------------------------------------------------- Sink
 
 void SinkOperator::Run() {
-  while (auto batch = inputs_[0]->PopBatch(batch_size())) {
-    CountIn(batch->size());
-    // While the scope is live the thread's trace slot points at it, so kv
-    // store() calls and log lines inside fn_ attach to this trace.
-    obs::SpanScope span = BatchSpan("spe.sink", name(), *batch);
-    for (Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        CompleteBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      latency_.Record(Now() - tuple.stimulus);
-      if (fn_) {
-        (void)Guarded([&] {
-          fn_(tuple);
-          return true;
-        });
-      }
-    }
-  }
-  if (finish_hook_) finish_hook_();
-  CloseOutputs();  // usually none
+  RunSingleInput(
+      "spe.sink",
+      [this](Tuple& tuple, const obs::SpanScope&) {
+        latency_.Record(Now() - tuple.stimulus);
+        if (fn_) {
+          (void)Guarded([&] {
+            fn_(tuple);
+            return true;
+          });
+        }
+      },
+      [this] {
+        if (finish_hook_) finish_hook_();
+      });
 }
 
 // --------------------------------------------------------------- Aggregate
@@ -509,35 +369,16 @@ void AggregateOperator::Process(const Tuple& tuple) {
 }
 
 void AggregateOperator::Run() {
-  bool open = true;
-  while (open) {
-    auto batch = inputs_[0]->PopBatch(batch_size());
-    if (!batch.has_value()) break;
-    CountIn(batch->size());
-    obs::SpanScope span = BatchSpan("spe.aggregate", name(), *batch);
-    for (const Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        CompleteBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      (void)Guarded([&] {
-        Process(tuple);
-        return true;
-      });
-    }
-    if (AllOutputsClosed()) {
-      open = false;
-      break;
-    }
-    MaybeFlush(inputs_[0]->depth() == 0);
-  }
-  if (open) {
-    // End of stream: flush every open window.
-    CloseWindowsUpTo(std::numeric_limits<Timestamp>::max());
-  } else {
-    CloseInputs();  // nobody downstream: skip the final flush
-  }
-  CloseOutputs();
+  RunSingleInput(
+      "spe.aggregate",
+      [this](Tuple& tuple, const obs::SpanScope&) {
+        (void)Guarded([&] {
+          Process(tuple);
+          return true;
+        });
+      },
+      // End of stream: flush every open window.
+      [this] { CloseWindowsUpTo(std::numeric_limits<Timestamp>::max()); });
 }
 
 Status AggregateOperator::SnapshotState(std::uint64_t /*epoch*/,
@@ -664,63 +505,10 @@ void JoinOperator::ProcessFrom(std::size_t side, Tuple tuple) {
 }
 
 void JoinOperator::Run() {
-  BarrierAligner aligner(2);
-  bool open = true;
-
-  auto ingest = [&](std::size_t side, TupleBatch batch) {
-    obs::SpanScope span = BatchSpan("spe.join", name(), batch);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      if (batch[k].IsBarrier()) {
-        const std::uint64_t epoch = batch[k].barrier_epoch;
-        aligner.Arrive(side, epoch, SplitHeld(&batch, k + 1));
-        return;
-      }
-      ProcessFrom(side, std::move(batch[k]));
-    }
-    if (AllOutputsClosed()) open = false;
-  };
-  auto settle = [&] {
-    SettleBarriers(&aligner, 2, open, ingest,
-                   [&](std::uint64_t epoch) { CompleteBarrier(epoch); });
-  };
-
-  while (!aligner.AllDone() && open) {
-    bool progressed = false;
-    for (std::size_t side = 0; side < 2 && open; ++side) {
-      if (aligner.done(side) || aligner.blocked(side)) continue;
-      while (open && !aligner.blocked(side)) {
-        auto batch = inputs_[side]->TryPopBatch(batch_size());
-        if (!batch.has_value()) break;
-        CountIn(batch->size());
-        ingest(side, std::move(*batch));
-        progressed = true;
-      }
-      if (!aligner.blocked(side) && inputs_[side]->drained()) {
-        aligner.MarkDone(side);
-        progressed = true;
-      }
-    }
-    settle();
-    if (!open || aligner.AllDone()) break;
-    if (progressed) {
-      MaybeFlush(/*input_idle=*/false);
-      continue;
-    }
-    // Neither side had data: flush buffered output, then block briefly on
-    // a side that is still live and not parked behind a barrier.
-    FlushEmit();
-    for (std::size_t side = 0; side < 2; ++side) {
-      if (aligner.done(side) || aligner.blocked(side)) continue;
-      if (auto batch = inputs_[side]->PopBatchFor(kPollInterval, batch_size())) {
-        CountIn(batch->size());
-        ingest(side, std::move(*batch));
-        settle();
-      }
-      break;
-    }
-  }
-  if (!open) CloseInputs();
-  CloseOutputs();
+  RunAligned("spe.join", [this](std::size_t side, Tuple& tuple,
+                                const obs::SpanScope&) {
+    ProcessFrom(side, std::move(tuple));
+  });
 }
 
 Status JoinOperator::SnapshotState(std::uint64_t /*epoch*/, std::string* out) {

@@ -15,12 +15,18 @@
 // expiry, or input idleness — one queue synchronization per batch instead of
 // per tuple. Emit reports when every downstream has closed so loops (and
 // sources in particular) can exit early instead of producing into the void.
+//
+// Operator loops: every non-source operator runs one of two shared drivers
+// (RunSingleInput, RunAligned) and supplies only its per-tuple step plus an
+// optional end-of-input step; see DESIGN.md "Operator loops".
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -29,6 +35,7 @@
 
 #include "common/clock.hpp"
 #include "common/histogram.hpp"
+#include "obs/trace.hpp"
 #include "spe/batch.hpp"
 #include "spe/codec.hpp"
 #include "spe/functions.hpp"
@@ -121,6 +128,10 @@ class Operator {
   /// before any thread spawns). An empty blob always means "fresh state"
   /// and is accepted without consulting the hook.
   [[nodiscard]] virtual Status RestoreState(std::string_view blob);
+
+  /// Snapshots this operator's state for `epoch` and reports the blob, or
+  /// the failure, to `checkpointer` under this operator's name.
+  void ReportSnapshotTo(Checkpointer* checkpointer, std::uint64_t epoch);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] virtual const char* kind() const noexcept { return "operator"; }
@@ -257,6 +268,32 @@ class Operator {
   /// barrier is still forwarded so downstream operators see it).
   void CompleteBarrier(std::uint64_t epoch);
 
+  /// Default for the optional steps of RunSingleInput.
+  struct NoStep {
+    void operator()() const noexcept {}
+  };
+
+  /// Single-input driver, the consume loop of every one-input operator:
+  /// drains batches of up to batch_size, opens one span per batch (category
+  /// `category`), completes barriers in line, and calls `step(tuple, span)`
+  /// for every data tuple. It leaves early once every output has closed
+  /// (closing the inputs so blocked producers wake up); otherwise, after the
+  /// input drains, it runs `at_end()`. `after_batch()` runs after every
+  /// drained batch. Outputs are flushed and closed last (close-then-drain).
+  template <typename Step, typename AtEnd = NoStep,
+            typename AfterBatch = NoStep>
+  void RunSingleInput(const char* category, Step step, AtEnd at_end = {},
+                      AfterBatch after_batch = {});
+
+  /// Aligned multi-input driver: polls every input in turn and calls
+  /// `step(input, tuple, span)` for every data tuple. An input that delivers
+  /// a barrier is parked, with the tuples behind the barrier held, until
+  /// every live input has delivered the same epoch; then the barrier is
+  /// completed and the held tuples are replayed (BarrierAligner). Early exit
+  /// and close-then-drain are those of RunSingleInput.
+  template <typename Step>
+  void RunAligned(const char* category, Step step);
+
   /// Broadcast Tuple::Barrier(epoch) to every open output — including all
   /// of a Router's outputs, since each parallel instance must observe every
   /// barrier. Bypasses the emit buffers (CompleteBarrier flushed them).
@@ -299,7 +336,20 @@ class Operator {
   std::vector<StreamPtr> outputs_;
 
  private:
+  /// Poll interval of RunAligned while no input has data.
+  static constexpr auto kPollInterval = std::chrono::microseconds(1000);
+
+  /// Span covering one drained batch: active iff tracing is on and the batch
+  /// carries a sampled tuple (the batch's trace is its first sampled tuple's
+  /// context — see tuple.hpp). While live, the thread's trace slot points at
+  /// it, so kv calls and log lines inside a step attach to this trace.
+  [[nodiscard]] obs::SpanScope BatchSpan(const char* category,
+                                         const TupleBatch& batch) const;
+
   void LogUserError(const char* what);
+  /// CompleteBarrier's report step. The default reports this operator; a
+  /// fused worker overrides it to report each absorbed constituent.
+  virtual void ReportSnapshots(std::uint64_t epoch);
   /// Called exactly once from CloseOutputs as the Run() body exits. The
   /// default reports this operator finished to the checkpointer; a fused
   /// worker overrides it to report its absorbed constituents instead.
@@ -437,6 +487,131 @@ class BarrierAligner {
   std::vector<TupleBatch> held_;        ///< tuples parked behind the barrier
   std::vector<char> done_;
 };
+
+// ----------------------------------------------------------- loop drivers
+
+template <typename Step, typename AtEnd, typename AfterBatch>
+void Operator::RunSingleInput(const char* category, Step step, AtEnd at_end,
+                              AfterBatch after_batch) {
+  Stream& input = *inputs_[0];
+  bool open = true;
+  while (open) {
+    auto batch = input.PopBatch(batch_size_);
+    if (!batch.has_value()) break;  // input closed and drained
+    CountIn(batch->size());
+    const obs::SpanScope span = BatchSpan(category, *batch);
+    for (Tuple& tuple : *batch) {
+      if (tuple.IsBarrier()) {
+        CompleteBarrier(tuple.barrier_epoch);
+        continue;
+      }
+      step(tuple, span);
+      if (AllOutputsClosed()) {
+        open = false;
+        break;
+      }
+    }
+    after_batch();
+    if (open && emit_ready_) MaybeFlush(input.depth() == 0);
+  }
+  if (open) {
+    at_end();
+  } else {
+    CloseInputs();  // early exit: downstream consumers are gone
+  }
+  CloseOutputs();
+}
+
+template <typename Step>
+void Operator::RunAligned(const char* category, Step step) {
+  const std::size_t n = inputs_.size();
+  BarrierAligner aligner(n);
+  bool open = true;
+
+  // Processes one drained batch from input `i`, stopping at a barrier: the
+  // epoch and the tuples behind it go to the aligner, and the input is
+  // blocked (not polled) until every live input aligns.
+  auto ingest = [&](std::size_t i, TupleBatch batch) {
+    const obs::SpanScope span = BatchSpan(category, batch);
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      Tuple& tuple = batch[k];
+      if (tuple.IsBarrier()) {
+        const auto behind = batch.begin() + static_cast<std::ptrdiff_t>(k + 1);
+        aligner.Arrive(i, tuple.barrier_epoch,
+                       TupleBatch(std::make_move_iterator(behind),
+                                  std::make_move_iterator(batch.end())));
+        return;
+      }
+      step(i, tuple, span);
+      if (AllOutputsClosed()) {
+        open = false;
+        return;
+      }
+    }
+  };
+  // Completes aligned epochs and replays tuples held behind barriers, which
+  // may themselves contain the next barrier, hence the loop. The barrier
+  // completes before the replay: held tuples belong to the next epoch.
+  auto settle = [&] {
+    for (;;) {
+      const std::uint64_t epoch = aligner.TryComplete();
+      if (epoch != 0) CompleteBarrier(epoch);
+      bool replayed = false;
+      for (std::size_t i = 0; i < n && open; ++i) {
+        if (aligner.blocked(i)) continue;
+        TupleBatch held = aligner.TakeHeld(i);
+        if (!held.empty()) {
+          ingest(i, std::move(held));
+          replayed = true;
+        }
+      }
+      if (!open || (epoch == 0 && !replayed)) return;
+    }
+  };
+
+  while (!aligner.AllDone() && open) {
+    bool progressed = false;
+    for (std::size_t i = 0; i < n && open; ++i) {
+      if (aligner.done(i) || aligner.blocked(i)) continue;
+      // Drain whatever is immediately available from this input.
+      while (open && !aligner.blocked(i)) {
+        auto batch = inputs_[i]->TryPopBatch(batch_size_);
+        if (!batch.has_value()) break;
+        CountIn(batch->size());
+        ingest(i, std::move(*batch));
+        progressed = true;
+      }
+      if (!aligner.blocked(i) && inputs_[i]->drained()) {
+        // A blocked input is never marked done here: its barrier still
+        // gates alignment, and it is re-examined once unblocked.
+        aligner.MarkDone(i);
+        progressed = true;
+      }
+    }
+    settle();
+    if (!open || aligner.AllDone()) break;
+    if (progressed) {
+      MaybeFlush(/*input_idle=*/false);
+      continue;
+    }
+    // Nothing available anywhere: flush what we buffered (don't sit on
+    // tuples while parked), then block briefly on the first live, unblocked
+    // input. One exists — were every live input blocked, settle() would
+    // have completed or skew-unblocked the alignment.
+    FlushEmit();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (aligner.done(i) || aligner.blocked(i)) continue;
+      if (auto batch = inputs_[i]->PopBatchFor(kPollInterval, batch_size_)) {
+        CountIn(batch->size());
+        ingest(i, std::move(*batch));
+        settle();
+      }
+      break;
+    }
+  }
+  if (!open) CloseInputs();
+  CloseOutputs();
+}
 
 // --------------------------------------------------------------- stateless
 

@@ -15,21 +15,6 @@ namespace strata::spe {
 
 namespace {
 
-/// Span covering one drained batch through the whole fused chain. The span
-/// NAME is the fused operator's name — the constituent operator names joined
-/// with '+' — so /tracez shows which logical stages ran, not an opaque node.
-obs::SpanScope FusedBatchSpan(const std::string& name,
-                              const TupleBatch& batch) {
-  if (!obs::TracingEnabled()) return {};
-  for (const Tuple& tuple : batch) {
-    if (tuple.trace.sampled()) {
-      return obs::SpanScope(name.c_str(), "spe.fused", tuple.trace,
-                            batch.size());
-    }
-  }
-  return {};
-}
-
 /// Per-stage counters accumulated locally while a batch runs the chain and
 /// flushed into the constituent operators' atomics once per drained batch.
 struct StageCounts {
@@ -70,81 +55,61 @@ void FusedOperator::Run() {
     }
   };
 
+  // The span is named after the fused operator (the constituent names
+  // joined with '+'), so /tracez shows which logical stages ran.
   TupleBatch cur;
   TupleBatch next;
-  bool open = true;
-  while (open) {
-    auto batch = inputs_[0]->PopBatch(batch_size());
-    if (!batch.has_value()) break;  // input closed and drained
-    obs::SpanScope span = FusedBatchSpan(name(), *batch);
-    for (Tuple& tuple : *batch) {
-      if (tuple.IsBarrier()) {
-        CompleteChainBarrier(tuple.barrier_epoch);
-        continue;
-      }
-      cur.clear();
-      cur.push_back(std::move(tuple));
-      for (std::size_t s = 0; s < stages_.size() && !cur.empty(); ++s) {
-        const Stage& stage = stages_[s];
-        counts[s].in += cur.size();
-        next.clear();
-        for (Tuple& t : cur) {
-          if (stage.flatmap != nullptr) {
-            try {
-              std::vector<Tuple> results = (*stage.flatmap)(t);
-              for (Tuple& out : results) {
-                if (out.stimulus == 0) out.stimulus = t.stimulus;
-                next.push_back(std::move(out));
+  RunSingleInput(
+      "spe.fused",
+      [&](Tuple& tuple, const obs::SpanScope& span) {
+        cur.clear();
+        cur.push_back(std::move(tuple));
+        for (std::size_t s = 0; s < stages_.size() && !cur.empty(); ++s) {
+          const Stage& stage = stages_[s];
+          counts[s].in += cur.size();
+          next.clear();
+          for (Tuple& t : cur) {
+            if (stage.flatmap != nullptr) {
+              try {
+                std::vector<Tuple> results = (*stage.flatmap)(t);
+                for (Tuple& out : results) {
+                  if (out.stimulus == 0) out.stimulus = t.stimulus;
+                  next.push_back(std::move(out));
+                }
+              } catch (const std::exception& e) {
+                ++counts[s].errors;
+                LOG_ERROR << "operator '" << stage.op->name()
+                          << "' (fused): user function threw: " << e.what();
               }
-            } catch (const std::exception& e) {
-              ++counts[s].errors;
-              LOG_ERROR << "operator '" << stage.op->name()
-                        << "' (fused): user function threw: " << e.what();
+            } else {
+              bool keep = false;
+              try {
+                keep = (*stage.filter)(t);
+              } catch (const std::exception& e) {
+                ++counts[s].errors;
+                LOG_ERROR << "operator '" << stage.op->name()
+                          << "' (fused): user function threw: " << e.what();
+              }
+              if (keep) next.push_back(std::move(t));
             }
-          } else {
-            bool keep = false;
-            try {
-              keep = (*stage.filter)(t);
-            } catch (const std::exception& e) {
-              ++counts[s].errors;
-              LOG_ERROR << "operator '" << stage.op->name()
-                        << "' (fused): user function threw: " << e.what();
-            }
-            if (keep) next.push_back(std::move(t));
           }
+          counts[s].out += next.size();
+          cur.swap(next);
         }
-        counts[s].out += next.size();
-        cur.swap(next);
-      }
-      for (Tuple& out : cur) {
-        if (span.active()) out.trace = span.EmitContext();
-        if (!(open = Emit(std::move(out)))) break;
-      }
-      if (!open) break;
-    }
-    flush_counts();
-    if (open) MaybeFlush(inputs_[0]->depth() == 0);
-  }
-  if (!open) CloseInputs();  // early exit: downstream consumers are gone
-  CloseOutputs();
+        for (Tuple& out : cur) {
+          if (span.active()) out.trace = span.EmitContext();
+          if (!Emit(std::move(out))) return;
+        }
+      },
+      NoStep{}, flush_counts);
 }
 
-void FusedOperator::CompleteChainBarrier(std::uint64_t epoch) {
-  FlushEmit();  // no partial batch may straddle the epoch boundary
-  if (Checkpointer* cp = checkpointer(); cp != nullptr) {
-    // One snapshot per constituent, under its registered name — a manifest
-    // written by a fused plan restores into an unfused one and vice versa.
-    for (const Stage& stage : stages_) {
-      std::string blob;
-      const Status snapshot = stage.op->SnapshotState(epoch, &blob);
-      if (snapshot.ok()) {
-        cp->ReportSnapshot(stage.op->name(), epoch, std::move(blob));
-      } else {
-        cp->ReportSnapshotFailure(stage.op->name(), epoch, snapshot);
-      }
-    }
+void FusedOperator::ReportSnapshots(std::uint64_t epoch) {
+  // One snapshot per constituent, under its registered name — a manifest
+  // written by a fused plan restores into an unfused one and vice versa.
+  for (const Stage& stage : stages_) {
+    stage.op->ReportSnapshotTo(checkpointer(), epoch);
   }
-  ForwardBarrier(epoch);
 }
 
 void FusedOperator::NotifyFinished() {

@@ -6,9 +6,9 @@
 // builder code and operator semantics are untouched): maximal chains of
 // adjacent stateless operators (FlatMap/Filter, each 1-input/1-output,
 // linked by a stream with exactly one registered producer and one
-// registered consumer) collapse into a single FusedOperator that runs the
-// whole chain per tuple on one thread — the interior streams are never
-// touched, so a fused chain costs zero intermediate queue synchronizations.
+// registered consumer) collapse into a single FusedOperator whose per-tuple
+// step runs the whole chain — the interior streams are never touched, so a
+// fused chain costs zero intermediate queue synchronizations.
 // The absorbed operators never run; the fused worker executes their
 // functions in order and attributes per-stage counts (tuples in/out, user
 // errors, discards) back to them, so spe.operator.* metrics and
@@ -20,10 +20,10 @@
 // state by ShardOf, so a run restored at a different parallelism re-hashes
 // every window / join buffer entry to its new home instance.
 //
-// Checkpoint composition: a FusedOperator forwards an epoch barrier as a
-// unit — it flushes the chain's emit buffers, reports one snapshot per
-// constituent operator (under the constituent's registered name), then
-// forwards the barrier once. Keyed-parallel instances rely on the existing
+// Checkpoint composition: a FusedOperator runs the shared single-input
+// driver, so a barrier is completed exactly as by any operator; only the
+// report step differs (one snapshot per constituent, under the
+// constituent's registered name). Keyed-parallel instances rely on the
 // router-broadcast / union-alignment barrier rules.
 #pragma once
 
@@ -60,10 +60,9 @@ class FusedOperator final : public Operator {
   }
 
  private:
-  /// Barrier drained past the fused chain: flush the chain as a unit,
-  /// snapshot every constituent under its own registered name, forward the
-  /// barrier once.
-  void CompleteChainBarrier(std::uint64_t epoch);
+  /// A barrier drained past the chain: every constituent reports its own
+  /// snapshot under its registered name.
+  void ReportSnapshots(std::uint64_t epoch) override;
   /// The chain finished: every constituent is done for checkpoint purposes.
   void NotifyFinished() override;
 
