@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,10 @@ struct ConsumerOptions {
       AutoOffsetReset::kEarliest;
   /// Commit after every Poll automatically.
   bool auto_commit = true;
+  /// Start a newly assigned partition at the group's committed offset when
+  /// one exists. false ignores committed offsets and starts per `reset`:
+  /// for a caller that keeps its own replay cursor (a checkpointed source).
+  bool resume_committed = true;
   std::size_t max_poll_records = 256;
 };
 
@@ -72,6 +77,10 @@ class ConsumerClient {
   }
   [[nodiscard]] virtual const std::vector<TopicPartition>& assignment()
       const noexcept = 0;
+  /// Offset the next Poll fetches from for assigned partition `tp`; nullopt
+  /// when the consumer holds no position for it.
+  [[nodiscard]] virtual std::optional<std::int64_t> Position(
+      const TopicPartition& tp) const = 0;
 };
 
 /// Factory + admin surface shared by embedded and remote transports.

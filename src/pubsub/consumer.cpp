@@ -41,10 +41,12 @@ void Consumer::RefreshAssignment() {
       positions[tp] = it->second;  // keep in-flight position
       continue;
     }
-    auto committed = broker_->CommittedOffset(options_.group, tp);
-    if (committed.ok()) {
-      positions[tp] = *committed;
-      continue;
+    if (options_.resume_committed) {
+      auto committed = broker_->CommittedOffset(options_.group, tp);
+      if (committed.ok()) {
+        positions[tp] = *committed;
+        continue;
+      }
     }
     auto log = broker_->GetLog(tp.topic, tp.partition);
     if (!log.ok()) continue;

@@ -58,6 +58,12 @@ class Consumer final : public ConsumerClient {
       const noexcept override {
     return assigned_;
   }
+  [[nodiscard]] std::optional<std::int64_t> Position(
+      const TopicPartition& tp) const override {
+    const auto it = positions_.find(tp);
+    if (it == positions_.end()) return std::nullopt;
+    return it->second;
+  }
 
  private:
   Consumer(Broker* broker, std::string topic, ConsumerOptions options,

@@ -86,10 +86,15 @@ spe::RestoreFn ConnectorPublisher::AsRestoreFn() {
 
 Result<std::shared_ptr<ConnectorSubscriber>> ConnectorSubscriber::Create(
     ps::BrokerClient* client, const std::string& topic,
-    const std::string& group) {
+    const std::string& group, bool checkpointed) {
   ps::ConsumerOptions options;
   options.group = group;
   options.reset = ps::ConsumerOptions::AutoOffsetReset::kEarliest;
+  // With checkpointing the checkpoint is the only replay cursor: a group
+  // offset committed past the last epoch's cut would skip records on
+  // restart, so it is neither written nor read.
+  options.auto_commit = !checkpointed;
+  options.resume_committed = !checkpointed;
   auto consumer = client->NewConsumer(topic, std::move(options));
   if (!consumer.ok()) return consumer.status();
   return std::shared_ptr<ConnectorSubscriber>(
@@ -97,9 +102,10 @@ Result<std::shared_ptr<ConnectorSubscriber>> ConnectorSubscriber::Create(
 }
 
 Result<std::shared_ptr<ConnectorSubscriber>> ConnectorSubscriber::Create(
-    ps::Broker* broker, const std::string& topic, const std::string& group) {
+    ps::Broker* broker, const std::string& topic, const std::string& group,
+    bool checkpointed) {
   ps::EmbeddedBrokerClient client(broker);
-  return Create(&client, topic, group);
+  return Create(&client, topic, group, checkpointed);
 }
 
 spe::SourceFn ConnectorSubscriber::AsSourceFn() {
@@ -144,7 +150,6 @@ bool ConnectorSubscriber::FillBuffer() {
         LOG_ERROR << "connector decode failed: " << tuple.status().ToString();
         continue;
       }
-      poll_next_[record.partition] = record.offset + 1;
       if (tuple->payload.Has(kEosKey)) {
         eos_seen_ = true;
         continue;  // sentinel is not delivered downstream
@@ -218,14 +223,21 @@ std::optional<spe::TupleBatch> ConnectorSubscriber::NextBatch() {
 
 spe::SnapshotFn ConnectorSubscriber::AsSnapshotFn() {
   return [this](std::uint64_t, std::string* out) {
-    // Replay cursor per partition: the first buffered-but-undelivered
-    // offset, else the next un-polled one. Tuples already delivered into the
-    // SPE are covered by downstream snapshots of the same epoch; everything
-    // at or after the cursor is re-polled on recovery.
-    std::map<int, std::int64_t> resume = poll_next_;
+    // Replay cursor for every assigned partition: the first
+    // buffered-but-undelivered offset, else the next un-polled one. Tuples
+    // already delivered into the SPE are covered by downstream snapshots of
+    // the same epoch; everything at or after the cursor is re-polled on
+    // recovery.
+    std::map<int, std::int64_t> resume;
+    for (const ps::TopicPartition& tp : consumer_->assignment()) {
+      if (const auto position = consumer_->Position(tp)) {
+        resume[tp.partition] = *position;
+      }
+    }
     for (const Buffered& entry : buffered_) {
-      std::int64_t& offset = resume[entry.partition];
-      offset = std::min(offset, entry.offset);
+      const auto [it, fresh] =
+          resume.try_emplace(entry.partition, entry.offset);
+      if (!fresh) it->second = std::min(it->second, entry.offset);
     }
     codec::PutVarint64(out, resume.size());
     for (const auto& [partition, offset] : resume) {
@@ -261,7 +273,6 @@ spe::RestoreFn ConnectorSubscriber::AsRestoreFn() {
       // silently skipping data would break the recovery guarantee.
       STRATA_RETURN_IF_ERROR(
           consumer_->Seek(topic_, static_cast<int>(partition), offset));
-      poll_next_[static_cast<int>(partition)] = offset;
       seen_floor_[static_cast<int>(partition)] = floor;
       deliv_floor_[static_cast<int>(partition)] = floor;
     }

@@ -82,13 +82,18 @@ class ConnectorPublisher {
 class ConnectorSubscriber {
  public:
   /// Transport-neutral: `client` may be the embedded broker or a remote one.
+  /// A `checkpointed` subscriber keeps its replay cursor only in its
+  /// snapshots: it never commits the group offset and ignores any the group
+  /// has, so a fresh start reads every partition from the log start.
+  /// Otherwise it resumes from, and auto-commits, the group offset.
   [[nodiscard]] static Result<std::shared_ptr<ConnectorSubscriber>> Create(
       ps::BrokerClient* client, const std::string& topic,
-      const std::string& group);
+      const std::string& group, bool checkpointed = false);
 
   /// Convenience for the embedded broker.
   [[nodiscard]] static Result<std::shared_ptr<ConnectorSubscriber>> Create(
-      ps::Broker* broker, const std::string& topic, const std::string& group);
+      ps::Broker* broker, const std::string& topic, const std::string& group,
+      bool checkpointed = false);
 
   /// SourceFn yielding tuples until EOS-and-drained or Stop().
   [[nodiscard]] spe::SourceFn AsSourceFn();
@@ -100,12 +105,14 @@ class ConnectorSubscriber {
 
   void Stop() { stopped_.store(true, std::memory_order_release); }
 
-  /// Checkpoint hooks for the subscribing source operator. The snapshot is
-  /// the per-partition replay cursor (the offset of the first record not yet
-  /// delivered into the SPE) plus the per-partition delivered sequence
-  /// floor. Restore seeks the consumer back to those offsets — a truncated
-  /// offset surfaces the broker's OutOfRange instead of silently skipping
-  /// data — and re-seeds the floors so replayed records dedupe.
+  /// Checkpoint hooks for the subscribing source operator (create it
+  /// `checkpointed`). The snapshot is the replay cursor of every assigned
+  /// partition (the offset of the first record not yet delivered into the
+  /// SPE) plus the per-partition delivered sequence floor. Restore seeks the
+  /// consumer back to those offsets — a truncated offset surfaces the
+  /// broker's OutOfRange instead of silently skipping data — and re-seeds
+  /// the floors so replayed records dedupe. A partition the blob does not
+  /// name stays at the log start.
   [[nodiscard]] spe::SnapshotFn AsSnapshotFn();
   [[nodiscard]] spe::RestoreFn AsRestoreFn();
 
@@ -140,7 +147,6 @@ class ConnectorSubscriber {
   bool eos_seen_ = false;
   // Replay/dedupe state, touched only on the source operator's thread (the
   // restore hook runs before the query starts).
-  std::map<int, std::int64_t> poll_next_;     ///< next un-polled offset
   std::map<int, std::uint64_t> seen_floor_;   ///< max seq polled (dedupe gate)
   std::map<int, std::uint64_t> deliv_floor_;  ///< max seq delivered to SPE
   std::atomic<std::uint64_t> duplicates_dropped_{0};

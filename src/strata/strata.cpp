@@ -305,7 +305,8 @@ spe::StreamPtr Strata::SubscribeTo(const std::string& topic) {
   client_->CreateTopic(topic, config).OrDie();  // idempotent
 
   auto subscriber =
-      ConnectorSubscriber::Create(client_.get(), topic, topic + ".monitor");
+      ConnectorSubscriber::Create(client_.get(), topic, topic + ".monitor",
+                                  options_.checkpoint_interval_ms > 0);
   subscriber.status().OrDie();
   subscribers_.push_back(*subscriber);
   // Batch source: each broker poll enters the SPE as one data-plane batch.

@@ -111,7 +111,12 @@ spe::AggregateSpec SeverityCountSpec() {
 /// 2-shard severity-count aggregate delivered under "counts/". With
 /// enable_fusion on (ScenarioOptions) this exercises fused barriers and
 /// per-shard snapshot replay under kill -9.
-void BuildPipeline(Strata* strata, std::chrono::microseconds emit_delay) {
+///
+/// `die_in_detect` makes the life SIGKILL itself inside `detect` on its
+/// first tuple, after a pause in which the generator publishes everything:
+/// it dies before any checkpoint, with published records still unpolled.
+void BuildPipeline(Strata* strata, std::chrono::microseconds emit_delay,
+                   bool die_in_detect = false) {
   auto position = std::make_shared<std::int64_t>(0);
   auto stream = strata->AddSource(
       "gen", [position, emit_delay]() -> std::optional<spe::Tuple> {
@@ -129,7 +134,11 @@ void BuildPipeline(Strata* strata, std::chrono::microseconds emit_delay) {
         return t;
       });
   auto detected = strata->DetectEvent(
-      "detect", std::move(stream), [](const spe::Tuple& t) {
+      "detect", std::move(stream), [die_in_detect](const spe::Tuple& t) {
+        if (die_in_detect) {
+          std::this_thread::sleep_for(300ms);
+          ::kill(::getpid(), SIGKILL);
+        }
         spe::Tuple out;
         out.payload.Set("severity",
                         t.payload.Get("reading").AsInt() % 7);
@@ -228,22 +237,23 @@ pid_t SpawnChild(const std::filesystem::path& dir, int iteration,
   std::_Exit(kChildDone);
 }
 
+/// The report set of the same pipeline, uninterrupted, on a pristine dir.
+std::map<std::string, std::string> ReferenceReports() {
+  strata::fs::ScopedTempDir ref_dir("query-torture-ref");
+  {
+    Strata strata(ScenarioOptions(ref_dir.path()));
+    BuildPipeline(&strata, /*emit_delay=*/0us);
+    strata.Deploy();
+    strata.WaitForCompletion();
+    strata.Shutdown();
+  }
+  return ReadReports(ref_dir.path());
+}
+
 TEST(QueryTortureTest, RecoveredQueryDeliversExactlyTheReferenceReports) {
   const int iterations = TortureIterations();
 
-  // ---- reference: the same pipeline, uninterrupted, pristine dir ----
-  std::map<std::string, std::string> reference;
-  {
-    strata::fs::ScopedTempDir ref_dir("query-torture-ref");
-    {
-      Strata strata(ScenarioOptions(ref_dir.path()));
-      BuildPipeline(&strata, /*emit_delay=*/0us);
-      strata.Deploy();
-      strata.WaitForCompletion();
-      strata.Shutdown();
-    }
-    reference = ReadReports(ref_dir.path());
-  }
+  const std::map<std::string, std::string> reference = ReferenceReports();
   // 400 per-tuple reports plus at least one count window per severity.
   ASSERT_GT(reference.size(), static_cast<std::size_t>(kTotalTuples) + 6);
 
@@ -317,6 +327,48 @@ TEST(QueryTortureTest, RecoveredQueryDeliversExactlyTheReferenceReports) {
   EXPECT_GT(kills, 0) << "no child was ever killed mid-run; timing inert?";
   EXPECT_GT(completed_scenarios, 0)
       << "no scenario ever completed; recovery may not be making progress";
+}
+
+// A life that dies before its first checkpoint leaves records it published
+// but never polled. The next life starts fresh (no committed epoch), so its
+// subscriber must replay the topic from the log start: were it to resume at
+// the offset the dead life's consumer group reached, the records below it
+// would never reach the pipeline, and the restarted publisher's copies of
+// them are dropped as duplicates of the dead life's records above it.
+TEST(QueryTortureTest, FreshLifeReplaysRecordsTheDeadLifeLeftUnpolled) {
+  const std::map<std::string, std::string> reference = ReferenceReports();
+  for (int trial = 0; trial < 3; ++trial) {
+    strata::fs::ScopedTempDir dir("query-torture-unpolled");
+    const pid_t dying = ::fork();
+    ASSERT_GE(dying, 0) << "fork failed";
+    if (dying == 0) {
+      // A short queue: once detect stalls, the subscriber blocks on
+      // back-pressure after its first poll, so the rest of the topic stays
+      // published but unpolled.
+      StrataOptions options = ScenarioOptions(dir.path());
+      options.query.queue_capacity = 16;
+      Strata strata(options);
+      BuildPipeline(&strata, /*emit_delay=*/0us, /*die_in_detect=*/true);
+      strata.Deploy();
+      strata.WaitForCompletion();
+      std::_Exit(kChildFailed);  // unreachable: detect kills the process
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(dying, &status, 0), dying);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "trial " << trial << ": the dying life exited with " << status;
+
+    const pid_t clean = SpawnChild(dir.path(), trial,
+                                   /*arm_failpoints=*/false);
+    ASSERT_GE(clean, 0) << "fork failed";
+    ASSERT_EQ(::waitpid(clean, &status, 0), clean);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == kChildDone)
+        << "trial " << trial << ": the clean life exited with " << status;
+    const std::map<std::string, std::string> reports = ReadReports(dir.path());
+    EXPECT_TRUE(reports == reference)
+        << "trial " << trial << ": " << reports.size()
+        << " reports, the uninterrupted reference has " << reference.size();
+  }
 }
 
 }  // namespace

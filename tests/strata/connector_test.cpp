@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "am/image.hpp"
+#include "common/codec.hpp"
 #include "strata/api.hpp"
 
 namespace strata::core {
@@ -250,6 +251,75 @@ TEST_F(TaggedConnectorTest, SubscriberSnapshotRestoreResumesReplayCursor) {
     EXPECT_EQ(rest[static_cast<std::size_t>(i)], 6 + i);
   }
   EXPECT_EQ(second->duplicates_dropped(), 0u);
+}
+
+TEST_F(TaggedConnectorTest, RestoreWithoutPartitionsStartsAtTheLogStart) {
+  ConnectorPublisher publisher(&broker_, "tagged", nullptr);
+  publisher.EnableTagging();
+  auto sink = publisher.AsSinkFn();
+  for (int i = 0; i < 10; ++i) sink(NumberedTuple(i));
+  publisher.AsFinishHook()();
+
+  // The group has moved past most of the topic (as a consumer that
+  // auto-committed before a crash would have)...
+  ASSERT_TRUE(broker_.CommitOffset("g", {"tagged", 0}, 7).ok());
+
+  // ...but a checkpointed subscriber restored from a snapshot that names no
+  // partition (taken before its first poll) replays from the log start.
+  auto subscriber = std::move(ConnectorSubscriber::Create(
+                                  &broker_, "tagged", "g", /*checkpointed=*/true))
+                        .value();
+  std::string blob;
+  codec::PutVarint64(&blob, 0);  // no partitions
+  ASSERT_TRUE(subscriber->AsRestoreFn()(blob).ok());
+  auto source = subscriber->AsSourceFn();
+  std::vector<int> seen;
+  while (auto tuple = source()) {
+    seen.push_back(static_cast<int>(tuple->payload.Get("i").AsInt()));
+  }
+  ASSERT_EQ(seen.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
+
+  // It never commits: the group offset is where the crash left it, and its
+  // own snapshot names the partition with the next un-polled offset.
+  EXPECT_EQ(*broker_.CommittedOffset("g", {"tagged", 0}), 7);
+  std::string snapshot;
+  ASSERT_TRUE(subscriber->AsSnapshotFn()(1, &snapshot).ok());
+  std::string_view view = snapshot;
+  std::uint64_t count = 0;
+  std::uint64_t partition = 0;
+  std::int64_t offset = 0;
+  ASSERT_TRUE(codec::GetVarint64(&view, &count));
+  ASSERT_TRUE(codec::GetVarint64(&view, &partition));
+  ASSERT_TRUE(codec::GetVarint64Signed(&view, &offset));
+  EXPECT_EQ(count, 1u);
+  EXPECT_EQ(partition, 0u);
+  EXPECT_EQ(offset, 11);  // 10 records and the EOS sentinel
+}
+
+// A snapshot taken before the first poll still names every assigned
+// partition, at the log start.
+TEST_F(TaggedConnectorTest, SnapshotBeforeFirstPollNamesEveryPartition) {
+  ASSERT_TRUE(broker_.CreateTopic("wide", {.partitions = 3}).ok());
+  auto subscriber = std::move(ConnectorSubscriber::Create(
+                                  &broker_, "wide", "g", /*checkpointed=*/true))
+                        .value();
+  std::string snapshot;
+  ASSERT_TRUE(subscriber->AsSnapshotFn()(1, &snapshot).ok());
+  std::string_view view = snapshot;
+  std::uint64_t count = 0;
+  ASSERT_TRUE(codec::GetVarint64(&view, &count));
+  EXPECT_EQ(count, 3u);
+  for (std::uint64_t p = 0; p < count; ++p) {
+    std::uint64_t partition = 0;
+    std::int64_t offset = 0;
+    std::uint64_t floor = 0;
+    ASSERT_TRUE(codec::GetVarint64(&view, &partition));
+    ASSERT_TRUE(codec::GetVarint64Signed(&view, &offset));
+    ASSERT_TRUE(codec::GetVarint64(&view, &floor));
+    EXPECT_EQ(partition, p);
+    EXPECT_EQ(offset, 0);
+  }
 }
 
 TEST_F(TaggedConnectorTest, RestoreToTruncatedOffsetSurfacesOutOfRange) {
