@@ -26,7 +26,10 @@ class Rng {
   [[nodiscard]] bool Bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);
   }
+  /// 0 for mean <= 0 (a clean job's defect rate): std::poisson_distribution
+  /// requires mean > 0.
   [[nodiscard]] std::int64_t Poisson(double mean) {
+    if (mean <= 0.0) return 0;
     return std::poisson_distribution<std::int64_t>(mean)(engine_);
   }
   /// Exponential inter-arrival gap for a Poisson process of the given rate.

@@ -79,6 +79,16 @@ TEST(Rng, PoissonMean) {
   EXPECT_NEAR(static_cast<double>(total) / 10'000.0, 4.0, 0.15);
 }
 
+// A zero rate (clean job, clean recoater) draws nothing instead of handing
+// std::poisson_distribution a mean outside its domain.
+TEST(Rng, PoissonOfNonPositiveMeanIsZeroAndDrawsNothing) {
+  Rng rng(5);
+  Rng twin(5);
+  EXPECT_EQ(rng.Poisson(0.0), 0);
+  EXPECT_EQ(rng.Poisson(-1.0), 0);
+  EXPECT_EQ(rng.UniformInt(0, 1'000'000), twin.UniformInt(0, 1'000'000));
+}
+
 TEST(Rng, ForkIsIndependent) {
   Rng parent(8);
   Rng child = parent.Fork();
