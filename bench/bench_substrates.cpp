@@ -132,7 +132,7 @@ static void BM_NetPubSubRoundTrip(benchmark::State& state) {
   NetBench net;
   net::RemoteProducer producer(net.Remote());
   auto consumer =
-      std::move(net::RemoteConsumer::Create(net.Remote(), "bench")).value();
+      std::move(net::NewRemoteConsumer(net.Remote(), "bench")).value();
   const std::string value(static_cast<std::size_t>(state.range(0)), 'x');
   for (auto _ : state) {
     producer.Send("bench", "", value, 0).status().OrDie();
@@ -209,7 +209,7 @@ static void BM_NetManyClients(benchmark::State& state) {
   }
 
   auto consumer =
-      std::move(net::RemoteConsumer::Create(remote, "bench")).value();
+      std::move(net::NewRemoteConsumer(remote, "bench")).value();
   std::int64_t fetched = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   remote.cluster_refresh_rounds = 12;
   remote.cluster_refresh_backoff = 50ms;
   net::RemoteProducer producer(remote);
-  auto consumer = net::RemoteConsumer::Create(remote, "events");
+  auto consumer = net::NewRemoteConsumer(remote, "events");
   consumer.status().OrDie();
 
   for (int i = 0; i < pre_kill; ++i) {

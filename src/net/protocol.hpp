@@ -233,11 +233,8 @@ struct ProduceResponse {
 };
 
 struct FetchResponse {
-  struct Entry {
-    ps::TopicPartition tp;
-    std::vector<ps::ConsumedRecord> records;
-    std::int64_t next_offset = 0;
-  };
+  /// One partition's records: exactly what the broker's read pass returns.
+  using Entry = ps::PartitionRead;
   std::vector<Entry> entries;
   [[nodiscard]] bool empty() const noexcept {
     for (const Entry& e : entries) {

@@ -1,8 +1,9 @@
-// Remote pub/sub clients: RemoteBroker / RemoteProducer / RemoteConsumer
-// speak the framed protocol (net/protocol.hpp) to a BrokerServer and
-// implement the same ps::BrokerClient / ProducerClient / ConsumerClient
-// interfaces as the embedded transport, so STRATA pipelines switch between
-// in-process and networked brokers without code changes.
+// Remote pub/sub clients: RemoteBroker and RemoteProducer speak the framed
+// protocol (net/protocol.hpp) to a BrokerServer and implement the same
+// ps::BrokerClient / ProducerClient interfaces as the embedded transport,
+// and NewRemoteConsumer hands out the one ps::Consumer over a wire
+// transport, so STRATA pipelines switch between in-process and networked
+// brokers without code changes.
 //
 // Each producer and consumer owns its own connection: this client speaks
 // strict request/response (it does not pipeline), so a consumer's long-poll
@@ -18,7 +19,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -194,73 +194,16 @@ class RemoteProducer final : public ps::ProducerClient {
   LeaderRouter router_;
 };
 
-class RemoteConsumer final : public ps::ConsumerClient {
- public:
-  /// Joins the consumer group over the wire; fails if the topic does not
-  /// exist on the server.
-  [[nodiscard]] static Result<std::unique_ptr<RemoteConsumer>> Create(
-      RemoteOptions remote, const std::string& topic,
-      ps::ConsumerOptions options = {});
-
-  ~RemoteConsumer() override;
-
-  /// Same contract as the embedded Consumer::Poll: records, or
-  /// Status::Timeout when a non-zero timeout elapses with no data, or an
-  /// error when the server is unreachable past the retry budget.
-  [[nodiscard]] Result<std::vector<ps::ConsumedRecord>> Poll(
-      std::chrono::microseconds timeout) override;
-  [[nodiscard]] Status Commit() override;
-  [[nodiscard]] Status SeekToEnd() override;
-  /// Reposition one assigned partition (see ps::ConsumerClient::Seek).
-  /// Validates the offset against the server's current [start, end) bounds
-  /// via a Metadata round-trip; a truncated or future offset returns
-  /// Status::OutOfRange rather than silently healing.
-  [[nodiscard]] Status Seek(const ps::TopicPartition& tp,
-                            std::int64_t offset) override;
-  using ps::ConsumerClient::Seek;
-  [[nodiscard]] const std::vector<ps::TopicPartition>& assignment()
-      const noexcept override {
-    return assigned_;
-  }
-  [[nodiscard]] std::optional<std::int64_t> Position(
-      const ps::TopicPartition& tp) const override {
-    const auto it = positions_.find(tp);
-    if (it == positions_.end()) return std::nullopt;
-    return it->second;
-  }
-
- private:
-  RemoteConsumer(RemoteOptions remote, std::string topic,
-                 ps::ConsumerOptions options)
-      : router_(std::move(remote)),
-        topic_(std::move(topic)),
-        options_(std::move(options)) {}
-
-  /// Heartbeat: pick up the current assignment/generation, establish
-  /// positions for newly assigned partitions (committed offset when
-  /// resume_committed, else the reset policy against topic metadata), drop
-  /// uncommitted progress of revoked partitions.
-  [[nodiscard]] Status RefreshAssignment();
-
-  /// Join (or, after a failover wiped the group's server-side state,
-  /// re-join) the consumer group on whichever broker the router points at.
-  [[nodiscard]] Status JoinOnCurrentLeader();
-
-  /// Routed call bound to this consumer's topic.
-  [[nodiscard]] Status Call(ApiKey api, const std::string& body,
-                            std::string* response,
-                            std::chrono::microseconds extra_wait = {});
-
-  LeaderRouter router_;
-  std::string topic_;
-  ps::ConsumerOptions options_;
-  ps::MemberId member_ = 0;
-  bool joined_ = false;
-  std::uint64_t generation_ = 0;
-  std::vector<ps::TopicPartition> assigned_;
-  std::map<ps::TopicPartition, std::int64_t> positions_;
-  std::map<ps::TopicPartition, std::int64_t> uncommitted_;
-};
+/// A ps::Consumer whose group membership, offsets and fetches go over the
+/// wire through a LeaderRouter: Poll sends a Heartbeat, then Fetch
+/// long-polls in slices (plus CommitOffset under auto_commit); a newly
+/// assigned partition costs an OffsetFetch and, for the reset policy, a
+/// Metadata. When a failover leaves the answering broker without the group,
+/// the member re-joins there. Fails if the topic does not exist on the
+/// server.
+[[nodiscard]] Result<std::unique_ptr<ps::Consumer>> NewRemoteConsumer(
+    RemoteOptions remote, const std::string& topic,
+    ps::ConsumerOptions options = {});
 
 /// Factory + admin client for a BrokerServer; the remote counterpart of
 /// ps::EmbeddedBrokerClient. Holds its own control connection for topic
@@ -274,8 +217,10 @@ class RemoteBroker final : public ps::BrokerClient {
                                    const ps::TopicConfig& config) override;
   [[nodiscard]] Result<std::unique_ptr<ps::ProducerClient>> NewProducer()
       override;
-  [[nodiscard]] Result<std::unique_ptr<ps::ConsumerClient>> NewConsumer(
-      const std::string& topic, ps::ConsumerOptions options) override;
+  [[nodiscard]] Result<std::unique_ptr<ps::Consumer>> NewConsumer(
+      const std::string& topic, ps::ConsumerOptions options) override {
+    return NewRemoteConsumer(options_, topic, std::move(options));
+  }
 
   /// Per-topic partition [start, end) offsets, fetched over the wire.
   [[nodiscard]] Result<MetadataResponse> Metadata(const std::string& topic);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <set>
 
 #include "common/logging.hpp"
@@ -39,47 +40,25 @@ std::int64_t VisibleEndOf(const ServerContext* ctx,
   return repl != nullptr ? repl->VisibleEnd(tp, log_end) : log_end;
 }
 
-/// One non-blocking fetch pass over the request's partitions. Offsets below
-/// the retention horizon are healed upward, exactly like the embedded
-/// consumer does; `*healed` records the healed position per partition so
-/// the caller parks its wait on offsets the log can actually reach — a wait
-/// keyed on the raw client offset would see "data available" forever on a
-/// trimmed partition and spin out its whole budget.
+/// One non-blocking fetch pass over the request's partitions: the broker's
+/// read pass, capped at the replication high watermark. It heals offsets
+/// below the retention horizon upward, and an entry that read nothing
+/// reports that healed offset as its next_offset, so the caller parks its
+/// wait on offsets the log can actually reach — a wait keyed on the raw
+/// client offset would see "data available" forever on a trimmed partition
+/// and spin out its whole budget.
 Status FetchOnce(const ServerContext* ctx, const FetchRequest& req,
-                 FetchResponse* resp,
-                 std::map<ps::TopicPartition, std::int64_t>* healed) {
-  ps::Broker* broker = ctx->broker;
+                 FetchResponse* resp) {
   resp->entries.clear();
+  resp->entries.reserve(req.entries.size());
   for (const FetchRequest::Entry& entry : req.entries) {
-    auto log = broker->GetLog(entry.tp.topic, entry.tp.partition);
-    if (!log.ok()) return log.status();
-    FetchResponse::Entry result;
-    result.tp = entry.tp;
-    std::int64_t offset = std::max(entry.offset, (*log)->StartOffset());
-    (*healed)[entry.tp] = offset;
-    const std::int64_t visible = VisibleEndOf(ctx, entry.tp, (*log)->EndOffset());
-    std::vector<ps::Record> records;
-    std::int64_t next = offset;
-    const std::uint64_t budget = std::min<std::uint64_t>(
-        entry.max_records,
-        visible > offset ? static_cast<std::uint64_t>(visible - offset) : 0);
-    if (budget > 0) {
-      STRATA_RETURN_IF_ERROR((*log)->ReadFrom(
-          offset, static_cast<std::size_t>(budget), &records, &next));
-    }
-    result.records.reserve(records.size());
-    for (ps::Record& record : records) {
-      ps::ConsumedRecord consumed;
-      consumed.topic = entry.tp.topic;
-      consumed.partition = entry.tp.partition;
-      consumed.offset = offset++;
-      consumed.key = std::move(record.key);
-      consumed.value = std::move(record.value);
-      consumed.timestamp = record.timestamp;
-      result.records.push_back(std::move(consumed));
-    }
-    result.next_offset = next;
-    resp->entries.push_back(std::move(result));
+    // VisibleEnd of an unbounded end is the high watermark alone; the read
+    // pass clamps to the log end itself.
+    const std::int64_t limit = VisibleEndOf(
+        ctx, entry.tp, std::numeric_limits<std::int64_t>::max());
+    STRATA_RETURN_IF_ERROR(ctx->broker->Read(
+        entry.tp, entry.offset, static_cast<std::size_t>(entry.max_records),
+        &resp->entries.emplace_back(), limit));
   }
   return Status::Ok();
 }
@@ -519,8 +498,7 @@ Status ServerConnection::HandleFetch(std::string_view body,
 
   ps::Broker* broker = ctx_->broker;
   FetchResponse resp;
-  std::map<ps::TopicPartition, std::int64_t> healed;
-  STRATA_RETURN_IF_ERROR(FetchOnce(ctx_, req, &resp, &healed));
+  STRATA_RETURN_IF_ERROR(FetchOnce(ctx_, req, &resp));
   const bool stopping = ctx_->stopping->load(std::memory_order_relaxed);
   if (!resp.empty() || req.entries.empty() ||
       wait_budget <= std::chrono::microseconds::zero() || stopping ||
@@ -571,13 +549,13 @@ Status ServerConnection::HandleFetch(std::string_view body,
   bool data_now = broker->closed() ||
                   ctx_->stopping->load(std::memory_order_relaxed);
   if (!data_now) {
-    for (const FetchRequest::Entry& entry : it->req.entries) {
-      auto log = broker->GetLog(entry.tp.topic, entry.tp.partition);
+    for (const ps::PartitionRead& read : resp.entries) {
+      auto log = broker->GetLog(read.tp.topic, read.tp.partition);
       // Like FetchOnce, "data available" means visible data: records above
       // the replication high watermark wake us (the hooks notify on HW
       // advance) but must not complete the long-poll early.
-      if (!log.ok() ||
-          VisibleEndOf(ctx_, entry.tp, (*log)->EndOffset()) > healed[entry.tp]) {
+      if (!log.ok() || VisibleEndOf(ctx_, read.tp, (*log)->EndOffset()) >
+                           read.next_offset) {
         data_now = true;
         break;
       }
@@ -585,10 +563,8 @@ Status ServerConnection::HandleFetch(std::string_view body,
   }
   if (data_now) {
     FetchResponse now_resp;
-    std::map<ps::TopicPartition, std::int64_t> now_healed;
-    Status st = broker->closed()
-                    ? Status::Closed("broker closed")
-                    : FetchOnce(ctx_, it->req, &now_resp, &now_healed);
+    Status st = broker->closed() ? Status::Closed("broker closed")
+                                 : FetchOnce(ctx_, it->req, &now_resp);
     FinishParked(it, st, now_resp);
   } else {
     const std::uint64_t parked_id = it->id;
@@ -598,11 +574,9 @@ Status ServerConnection::HandleFetch(std::string_view body,
         if (pit->id != parked_id) continue;
         pit->timer_id = 0;  // firing now; nothing to cancel
         FetchResponse resp;
-        std::map<ps::TopicPartition, std::int64_t> healed_positions;
-        Status st =
-            ctx_->broker->closed()
-                ? Status::Closed("broker closed")
-                : FetchOnce(ctx_, pit->req, &resp, &healed_positions);
+        Status st = ctx_->broker->closed()
+                        ? Status::Closed("broker closed")
+                        : FetchOnce(ctx_, pit->req, &resp);
         FinishParked(pit, st, resp);
         break;
       }
@@ -623,8 +597,7 @@ void ServerConnection::RetryParkedFetches() {
       FinishParked(it, Status::Closed("broker closed"), FetchResponse{});
     } else {
       FetchResponse resp;
-      std::map<ps::TopicPartition, std::int64_t> healed;
-      Status st = FetchOnce(ctx_, it->req, &resp, &healed);
+      Status st = FetchOnce(ctx_, it->req, &resp);
       if (!st.ok()) {
         FinishParked(it, st, FetchResponse{});
       } else if (!resp.empty() || now >= it->deadline || stopping) {
@@ -658,10 +631,8 @@ void ServerConnection::CompleteAllParked() {
   while (!parked_.empty()) {
     auto it = parked_.begin();
     FetchResponse resp;
-    std::map<ps::TopicPartition, std::int64_t> healed;
-    Status st = ctx_->broker->closed()
-                    ? Status::Closed("broker closed")
-                    : FetchOnce(ctx_, it->req, &resp, &healed);
+    Status st = ctx_->broker->closed() ? Status::Closed("broker closed")
+                                       : FetchOnce(ctx_, it->req, &resp);
     FinishParked(it, st, resp);
     if (guard->conn == nullptr) return;
   }

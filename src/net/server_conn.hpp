@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>

@@ -1,6 +1,7 @@
 #include "pubsub/broker.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <functional>
 
 #include "common/codec.hpp"
@@ -216,6 +217,35 @@ Result<PartitionLog*> Broker::GetLog(const std::string& topic,
   return it->second.logs[static_cast<std::size_t>(partition)].get();
 }
 
+Status Broker::Read(const TopicPartition& tp, std::int64_t offset,
+                    std::size_t max_records, PartitionRead* out,
+                    std::int64_t limit) const {
+  auto log = GetLog(tp.topic, tp.partition);
+  if (!log.ok()) return log.status();
+  out->tp = tp;
+  out->records.clear();
+  offset = std::max(offset, (*log)->StartOffset());
+  out->next_offset = offset;
+  const std::size_t budget = std::min<std::uint64_t>(
+      max_records,
+      limit > offset ? static_cast<std::uint64_t>(limit - offset) : 0);
+  if (budget == 0) return Status::Ok();
+  std::vector<Record> records;
+  STRATA_RETURN_IF_ERROR(
+      (*log)->ReadFrom(offset, budget, &records, &out->next_offset));
+  out->records.reserve(records.size());
+  for (Record& record : records) {
+    ConsumedRecord& consumed = out->records.emplace_back();
+    consumed.topic = tp.topic;
+    consumed.partition = tp.partition;
+    consumed.offset = offset++;
+    consumed.key = std::move(record.key);
+    consumed.value = std::move(record.value);
+    consumed.timestamp = record.timestamp;
+  }
+  return Status::Ok();
+}
+
 std::size_t Broker::ShardOf(const std::string& topic,
                             int partition) const noexcept {
   const std::uint32_t h =
@@ -251,11 +281,9 @@ void Broker::NotifyShard(Shard& shard) const {
   std::vector<std::function<void()>> callbacks;
   {
     std::lock_guard lock(shard.mu);
-    ++shard.epoch;
     callbacks.reserve(shard.waiters.size());
     for (const auto& [id, cb] : shard.waiters) callbacks.push_back(cb);
   }
-  shard.cv.notify_all();
   for (const auto& cb : callbacks) cb();
 }
 
@@ -397,21 +425,18 @@ void Broker::AppendMetricsLocked(obs::MetricsSnapshot* snapshot) const {
   for (const auto& [group_name, g] : groups_) {
     const auto tit = topics_.find(g.topic);
     if (tit == topics_.end()) continue;
-    for (int p = 0; p < tit->second.config.partitions; ++p) {
-      const TopicPartition tp{g.topic, p};
-      const PartitionLog* log =
-          tit->second.logs[static_cast<std::size_t>(p)].get();
-      std::int64_t committed = -1;
-      if (const auto oit = g.offsets.find(tp); oit != g.offsets.end()) {
-        committed = oit->second;
+    for (const auto& [tp, committed] : g.offsets) {
+      if (tp.topic != g.topic || tp.partition < 0 ||
+          tp.partition >= tit->second.config.partitions) {
+        continue;
       }
-      const std::int64_t baseline =
-          committed >= 0 ? committed : log->StartOffset();
+      const PartitionLog* log =
+          tit->second.logs[static_cast<std::size_t>(tp.partition)].get();
       snapshot->AddGauge("pubsub.group.lag",
                          {{"group", group_name},
                           {"topic", g.topic},
-                          {"partition", std::to_string(p)}},
-                         log->EndOffset() - baseline);
+                          {"partition", std::to_string(tp.partition)}},
+                         log->EndOffset() - committed);
     }
   }
 }

@@ -6,8 +6,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,8 +41,8 @@ struct BrokerOptions {
   /// with a sticky health flag. Surfaced via Stats() and Strata::Health().
   DiskFailurePolicy disk_failure_policy = DiskFailurePolicy::kFailStop;
   /// Data-plane shards: every (topic, partition) hashes onto one shard,
-  /// each with its own lock, data-arrival signal, and waiter list, so
-  /// produce/fetch on disjoint partitions never contend. Clamped to >= 1.
+  /// each with its own lock and waiter list, so produce/fetch on disjoint
+  /// partitions never contend. Clamped to >= 1.
   std::size_t shards = 8;
 };
 
@@ -54,6 +55,15 @@ struct TopicPartition {
 
   friend auto operator<=>(const TopicPartition&,
                           const TopicPartition&) = default;
+};
+
+/// What one read pass (Broker::Read) took from one partition.
+struct PartitionRead {
+  TopicPartition tp;
+  std::vector<ConsumedRecord> records;
+  /// Where the next read continues: past the last record read, or, when
+  /// nothing was read, the pass's start offset healed up to the log start.
+  std::int64_t next_offset = 0;
 };
 
 class Broker {
@@ -112,13 +122,23 @@ class Broker {
   [[nodiscard]] Result<PartitionLog*> GetLog(const std::string& topic,
                                              int partition) const;
 
+  /// One non-blocking read pass over `tp`, shared by the in-process consumer
+  /// and the server's Fetch: heals `offset` up to the log start (retention
+  /// may have dropped it), reads at most `max_records` records that lie
+  /// below `limit` (the server passes its replication high watermark), and
+  /// stores them as ConsumedRecords in `*out`.
+  [[nodiscard]] Status Read(
+      const TopicPartition& tp, std::int64_t offset, std::size_t max_records,
+      PartitionRead* out,
+      std::int64_t limit = std::numeric_limits<std::int64_t>::max()) const;
+
   /// Block until any of `partitions` has a record at/after its entry in
   /// `positions` (missing entries read as 0), the timeout elapses, or the
-  /// broker closes. Returns true when data is available somewhere. Unlike
-  /// PartitionLog::WaitForData this wakes on appends to *any* partition, so
-  /// a consumer never waits out its timeout on one partition while another
-  /// one has data. Internally parks one ephemeral waiter on each involved
-  /// shard, so waits on disjoint partitions never contend on one signal.
+  /// broker closes. Returns true when data is available somewhere. It wakes
+  /// on appends to *any* of the partitions, so a consumer never waits out
+  /// its timeout on one partition while another one has data. Internally
+  /// parks one ephemeral waiter on each involved shard, so waits on disjoint
+  /// partitions never contend on one signal.
   [[nodiscard]] bool WaitForAnyData(
       const std::vector<TopicPartition>& partitions,
       const std::map<TopicPartition, std::int64_t>& positions,
@@ -126,7 +146,7 @@ class Broker {
 
   // --- Data-plane shards -----------------------------------------------------
 
-  /// Shard owning (topic, partition)'s data signal. Stable for the broker's
+  /// Shard owning (topic, partition)'s waiter list. Stable for the broker's
   /// lifetime; in [0, shard_count()).
   [[nodiscard]] std::size_t ShardOf(const std::string& topic,
                                     int partition) const noexcept;
@@ -152,7 +172,11 @@ class Broker {
 
   /// Expose broker metrics on `registry`: per-topic produce counters
   /// (pubsub.topic.produced{topic}), per-partition start/end offsets, and
-  /// per-group consumer lag (pubsub.group.lag{group,topic,partition}).
+  /// per-group consumer lag (pubsub.group.lag{group,topic,partition}, end
+  /// offset minus committed offset). The lag gauge exists only for the
+  /// (group, partition) pairs with a committed offset: a group that keeps
+  /// its cursor elsewhere (a checkpointed connector) never commits, and a
+  /// lag measured from the log start would report its whole log.
   /// Rebinding replaces the previous registration; nullptr unbinds. The
   /// callback is unregistered on destruction, so the registry must outlive
   /// the broker.
@@ -210,14 +234,11 @@ class Broker {
           produced(other.produced) {}
   };
 
-  /// One data-plane shard: the arrival signal for every (topic, partition)
-  /// hashing here. Appends bump the epoch, wake the cv, and invoke the
-  /// registered waiter callbacks (outside the shard lock).
+  /// One data-plane shard: the waiters of every (topic, partition) hashing
+  /// here. Appends invoke the registered callbacks (outside the shard lock).
   struct Shard {
     std::mutex mu;
-    std::condition_variable cv;
-    std::uint64_t epoch = 0;                              // guarded by mu
-    std::map<WaiterId, std::function<void()>> waiters;    // guarded by mu
+    std::map<WaiterId, std::function<void()>> waiters;  // guarded by mu
   };
 
   struct Group {
@@ -232,8 +253,7 @@ class Broker {
 
   void AppendMetricsLocked(obs::MetricsSnapshot* snapshot) const;  // REQUIRES mu_
 
-  /// Bump the shard's epoch, wake blocked waiters, and invoke registered
-  /// waiter callbacks (outside the shard lock).
+  /// Invoke the shard's registered waiter callbacks (outside its lock).
   void NotifyShard(Shard& shard) const;
 
   BrokerOptions options_;

@@ -1,19 +1,11 @@
 #include "pubsub/client.hpp"
 
-#include "pubsub/consumer.hpp"
 #include "pubsub/producer.hpp"
 
 namespace strata::ps {
 
 Result<std::unique_ptr<ProducerClient>> EmbeddedBrokerClient::NewProducer() {
   return std::unique_ptr<ProducerClient>(std::make_unique<Producer>(broker_));
-}
-
-Result<std::unique_ptr<ConsumerClient>> EmbeddedBrokerClient::NewConsumer(
-    const std::string& topic, ConsumerOptions options) {
-  auto consumer = Consumer::Create(broker_, topic, std::move(options));
-  if (!consumer.ok()) return consumer.status();
-  return std::unique_ptr<ConsumerClient>(std::move(consumer).value());
 }
 
 }  // namespace strata::ps

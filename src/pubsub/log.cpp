@@ -235,7 +235,6 @@ Result<std::int64_t> PartitionLog::Append(const Record& record) {
     ++base_;
   }
   lock.unlock();
-  data_cv_.notify_all();
   if (append_listener_) append_listener_();
   return offset;
 }
@@ -257,13 +256,6 @@ Status PartitionLog::ReadFrom(std::int64_t offset, std::size_t max_records,
   }
   *next_offset = cursor;
   return Status::Ok();
-}
-
-bool PartitionLog::WaitForData(std::int64_t offset,
-                               std::chrono::microseconds timeout) const {
-  std::unique_lock lock(mu_);
-  return data_cv_.wait_for(
-      lock, timeout, [&] { return closed_ || next_offset_ > offset; });
 }
 
 std::int64_t PartitionLog::EndOffset() const {
@@ -362,7 +354,6 @@ void PartitionLog::Close() {
       if (options_.sync_on_roll) ::fsync(::fileno(segment_));
     }
   }
-  data_cv_.notify_all();
 }
 
 }  // namespace strata::ps

@@ -8,7 +8,6 @@
 // rebuild the in-memory log (same recovery contract as the WAL).
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <filesystem>
 #include <functional>
@@ -67,11 +66,6 @@ class PartitionLog {
                                 std::vector<Record>* out,
                                 std::int64_t* next_offset) const;
 
-  /// Block until at least one record at/after `offset` exists, the timeout
-  /// elapses, or the log is closed.
-  [[nodiscard]] bool WaitForData(std::int64_t offset,
-                                 std::chrono::microseconds timeout) const;
-
   /// Offset that will be assigned to the next append.
   [[nodiscard]] std::int64_t EndOffset() const;
   /// Oldest offset still readable from memory.
@@ -119,7 +113,6 @@ class PartitionLog {
 
   LogOptions options_;
   mutable std::mutex mu_;
-  mutable std::condition_variable data_cv_;
   std::deque<Record> records_;      // records_[i] has offset base_ + i
   std::int64_t base_ = 0;           // offset of records_.front()
   std::int64_t next_offset_ = 0;

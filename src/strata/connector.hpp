@@ -130,7 +130,7 @@ class ConnectorSubscriber {
     std::uint64_t seq = 0;  ///< 0 = untagged
   };
 
-  ConnectorSubscriber(std::unique_ptr<ps::ConsumerClient> consumer,
+  ConnectorSubscriber(std::unique_ptr<ps::Consumer> consumer,
                       std::string topic)
       : consumer_(std::move(consumer)), topic_(std::move(topic)) {}
 
@@ -140,7 +140,7 @@ class ConnectorSubscriber {
   [[nodiscard]] std::optional<spe::TupleBatch> NextBatch();
   void NoteDelivered(const Buffered& entry);
 
-  std::unique_ptr<ps::ConsumerClient> consumer_;
+  std::unique_ptr<ps::Consumer> consumer_;
   std::string topic_;  ///< span naming only
   std::deque<Buffered> buffered_;
   std::atomic<bool> stopped_{false};

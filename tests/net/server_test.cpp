@@ -116,7 +116,7 @@ TEST(BrokerServer, LongPollWakesOnProduce) {
   TestServer ts;
   ts.broker.CreateTopic("wake", {.partitions = 1}).OrDie();
 
-  auto consumer = RemoteConsumer::Create(ts.Remote(), "wake");
+  auto consumer = NewRemoteConsumer(ts.Remote(), "wake");
   ASSERT_TRUE(consumer.ok());
 
   std::thread producer([&] {
@@ -140,7 +140,7 @@ TEST(BrokerServer, LongPollWakesOnProduce) {
 TEST(BrokerServer, PollTimesOutCleanlyWhenIdle) {
   TestServer ts;
   ts.broker.CreateTopic("idle", {.partitions = 1}).OrDie();
-  auto consumer = RemoteConsumer::Create(ts.Remote(), "idle");
+  auto consumer = NewRemoteConsumer(ts.Remote(), "idle");
   ASSERT_TRUE(consumer.ok());
 
   auto batch = (*consumer)->Poll(100ms);
@@ -157,7 +157,7 @@ TEST(BrokerServer, StopMidLongPollFailsFast) {
   ts.broker.CreateTopic("stall", {.partitions = 1}).OrDie();
   RemoteOptions opts = ts.Remote();
   opts.max_retries = 1;
-  auto consumer = RemoteConsumer::Create(opts, "stall");
+  auto consumer = NewRemoteConsumer(opts, "stall");
   ASSERT_TRUE(consumer.ok());
 
   std::thread stopper([&] {
@@ -237,7 +237,7 @@ TEST(BrokerServer, CommittedOffsetsResumeAcrossConsumers) {
   copts.auto_commit = false;
   copts.max_poll_records = 4;
   {
-    auto first = RemoteConsumer::Create(ts.Remote(), "resume", copts);
+    auto first = NewRemoteConsumer(ts.Remote(), "resume", copts);
     ASSERT_TRUE(first.ok());
     auto batch = (*first)->Poll(2s);
     ASSERT_TRUE(batch.ok());
@@ -246,7 +246,7 @@ TEST(BrokerServer, CommittedOffsetsResumeAcrossConsumers) {
     // Destroyed without committing anything further: offsets 4.. stay owed.
   }
 
-  auto second = RemoteConsumer::Create(ts.Remote(), "resume", copts);
+  auto second = NewRemoteConsumer(ts.Remote(), "resume", copts);
   ASSERT_TRUE(second.ok());
   auto batch = (*second)->Poll(2s);
   ASSERT_TRUE(batch.ok());
@@ -266,7 +266,7 @@ TEST(BrokerServer, LatestResetSkipsBacklogOverTheWire) {
   ps::ConsumerOptions copts;
   copts.group = "tailer";
   copts.reset = ps::ConsumerOptions::AutoOffsetReset::kLatest;
-  auto consumer = RemoteConsumer::Create(ts.Remote(), "tail", copts);
+  auto consumer = NewRemoteConsumer(ts.Remote(), "tail", copts);
   ASSERT_TRUE(consumer.ok());
 
   EXPECT_TRUE((*consumer)->Poll(50ms).status().IsTimeout());
@@ -285,7 +285,7 @@ TEST(BrokerServer, DroppedConnectionTriggersRebalance) {
 
   ps::ConsumerOptions copts;
   copts.group = "g";
-  auto survivor = RemoteConsumer::Create(ts.Remote(), "shared", copts);
+  auto survivor = NewRemoteConsumer(ts.Remote(), "shared", copts);
   ASSERT_TRUE(survivor.ok());
   (void)(*survivor)->Poll(0us);  // refresh assignment
   ASSERT_EQ((*survivor)->assignment().size(), 2u);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "pubsub/broker.hpp"
+#include "pubsub/consumer.hpp"
 #include "pubsub/producer.hpp"
 
 namespace strata::ps {
@@ -69,6 +71,48 @@ TEST(BrokerStats, ConsumerLagTracksCommits) {
   EXPECT_EQ(*broker.ConsumerLag("g", tp), 6);
   ASSERT_TRUE(broker.CommitOffset("g", tp, 10).ok());
   EXPECT_EQ(*broker.ConsumerLag("g", tp), 0);
+}
+
+TEST(BrokerStats, GroupLagGaugeOnlyForCommittedPartitions) {
+  obs::MetricsRegistry registry;
+  Broker broker;
+  broker.BindMetrics(&registry);
+  ASSERT_TRUE(broker.CreateTopic("t", {.partitions = 1}).ok());
+  Producer producer(&broker);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(producer.Send("t", "", "v", 0).ok());
+  }
+  const obs::Labels checkpointed{
+      {"group", "checkpointed"}, {"topic", "t"}, {"partition", "0"}};
+  const obs::Labels committing{
+      {"group", "committing"}, {"topic", "t"}, {"partition", "0"}};
+
+  // A member that keeps its cursor elsewhere reads everything and never
+  // commits: it has no lag series, not a lag of the whole log.
+  auto silent = std::move(Consumer::Create(&broker, "t",
+                                           {.group = "checkpointed",
+                                            .auto_commit = false,
+                                            .resume_committed = false}))
+                    .value();
+  ASSERT_EQ(silent->Poll(std::chrono::microseconds(0))->size(), 10u);
+  auto snapshot = registry.Snapshot();
+  EXPECT_FALSE(snapshot.Value("pubsub.group.lag", checkpointed).has_value());
+
+  // A committing group reports end - committed.
+  auto committer = std::move(Consumer::Create(
+                                 &broker, "t",
+                                 {.group = "committing",
+                                  .auto_commit = false,
+                                  .max_poll_records = 4}))
+                       .value();
+  ASSERT_EQ(committer->Poll(std::chrono::microseconds(0))->size(), 4u);
+  EXPECT_FALSE(registry.Snapshot()
+                   .Value("pubsub.group.lag", committing)
+                   .has_value());
+  ASSERT_TRUE(committer->Commit().ok());
+  snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Value("pubsub.group.lag", committing), 6);
+  EXPECT_FALSE(snapshot.Value("pubsub.group.lag", checkpointed).has_value());
 }
 
 TEST(BrokerStats, ConsumerLagValidatesTarget) {

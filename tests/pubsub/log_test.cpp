@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "common/fs.hpp"
 
 namespace strata::ps {
@@ -87,30 +85,9 @@ TEST(PartitionLog, RetentionTrimsOldRecords) {
   EXPECT_EQ(records[0].value, "7");
 }
 
-TEST(PartitionLog, WaitForDataUnblocksOnAppend) {
-  auto log = std::move(PartitionLog::Open({})).value();
-  std::thread appender([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ASSERT_TRUE(log->Append(MakeRecord("", "late")).ok());
-  });
-  EXPECT_TRUE(log->WaitForData(0, std::chrono::microseconds(2'000'000)));
-  appender.join();
-}
-
-TEST(PartitionLog, WaitForDataTimesOut) {
-  auto log = std::move(PartitionLog::Open({})).value();
-  EXPECT_FALSE(log->WaitForData(0, std::chrono::microseconds(20'000)));
-}
-
 TEST(PartitionLog, CloseUnblocksWaitersAndRejectsAppends) {
   auto log = std::move(PartitionLog::Open({})).value();
-  std::thread waiter([&] {
-    // Returns once closed even though no data arrived.
-    (void)log->WaitForData(0, std::chrono::microseconds(5'000'000));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
   log->Close();
-  waiter.join();
   EXPECT_TRUE(log->Append(MakeRecord("", "x")).status().IsClosed());
 }
 

@@ -160,7 +160,7 @@ TEST(ReplFailoverTorture, AckedRecordsSurviveLeaderKill) {
     remote.cluster_refresh_rounds = 12;
     remote.cluster_refresh_backoff = 50ms;
     net::RemoteProducer producer(remote);
-    auto consumer = net::RemoteConsumer::Create(remote, "torture");
+    auto consumer = net::NewRemoteConsumer(remote, "torture");
     ASSERT_TRUE(consumer.ok());
 
     // Produce through the kill. The kill lands after a varying number of

@@ -209,7 +209,7 @@ TEST(ReplCluster, QuorumAckBlocksUntilMajorityReplicates) {
   // The append itself happened (at-least-once on ack timeout)...
   EXPECT_EQ(cluster.LogEnd(0, "events", 0), 1);
   // ...but it is not committed: nothing is consumer-visible.
-  auto consumer = net::RemoteConsumer::Create(
+  auto consumer = net::NewRemoteConsumer(
       cluster.ClientOptions(net::ProduceAcks::kLeader), "events");
   ASSERT_TRUE(consumer.ok());
   auto records = (*consumer)->Poll(50ms);
@@ -244,7 +244,7 @@ TEST(ReplCluster, ConsumersNeverReadPastHighWatermark) {
   ASSERT_EQ(cluster.LogEnd(0, "events", 0), 5);
 
   // ...but consumers are clamped to the (zero) high watermark.
-  auto consumer = net::RemoteConsumer::Create(
+  auto consumer = net::NewRemoteConsumer(
       cluster.ClientOptions(net::ProduceAcks::kLeader), "events");
   ASSERT_TRUE(consumer.ok());
   auto records = (*consumer)->Poll(50ms);
@@ -300,7 +300,7 @@ TEST(ReplCluster, LeaderStopPromotesFollowerAndClientsResume) {
     ASSERT_TRUE(producer.Send("events", "k", "pre" + std::to_string(i), 0)
                     .ok());
   }
-  auto consumer = net::RemoteConsumer::Create(
+  auto consumer = net::NewRemoteConsumer(
       cluster.ClientOptions(net::ProduceAcks::kLeader), "events");
   ASSERT_TRUE(consumer.ok());
 
