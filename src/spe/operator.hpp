@@ -166,6 +166,11 @@ class Operator {
     return stop_requested_.load(std::memory_order_acquire);
   }
 
+  /// stats().discarded, without copying the name strings.
+  [[nodiscard]] std::uint64_t discarded() const noexcept {
+    return discarded_.load(std::memory_order_relaxed);
+  }
+
   /// Buffered push to every output: copies for all but the last open output,
   /// which takes the tuple by move — single-output chains (the common case)
   /// never copy payloads. Buffers flush downstream at batch_size (see also

@@ -33,7 +33,7 @@ FusedOperator::FusedOperator(std::string name, const Clock* clock,
 
 void FusedOperator::Run() {
   std::vector<StageCounts> counts(stages_.size());
-  std::uint64_t last_discarded = stats().discarded;
+  std::uint64_t last_discarded = discarded();
   // Flush the locally-accumulated per-stage counts into the absorbed
   // operators so Stats()/metrics keep per-stage identity. Output discards
   // (closed downstream) happen at the chain's Emit, so the delta in this
@@ -47,11 +47,10 @@ void FusedOperator::Run() {
                                            counts[s].errors, 0);
       counts[s] = StageCounts{};
     }
-    const std::uint64_t discarded = stats().discarded;
-    if (discarded != last_discarded) {
-      stages_.back().op->AccumulateStageCounts(0, 0, 0,
-                                               discarded - last_discarded);
-      last_discarded = discarded;
+    const std::uint64_t total = discarded();
+    if (total != last_discarded) {
+      stages_.back().op->AccumulateStageCounts(0, 0, 0, total - last_discarded);
+      last_discarded = total;
     }
   };
 
