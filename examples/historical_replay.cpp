@@ -5,7 +5,8 @@
 // data directory, replays the raw topic from offset 0 into an ad-hoc
 // analysis (recomputing thermal statistics per layer), and refreshes the
 // thresholds in the key-value store — the paper's "information from past
-// jobs maintained and later shared with other jobs".
+// jobs maintained and later shared with other jobs". Exits non-zero unless
+// phase 2 replays exactly as many frames as phase 1 archived.
 //
 //   build/examples/historical_replay [layers]
 #include <algorithm>
@@ -30,6 +31,7 @@ int main(int argc, char** argv) {
   machine_params.defects.birth_rate = 0.05;
 
   // ---- Phase 1: live job with persistent connectors ----
+  std::size_t archived = 0;
   {
     StrataOptions options;
     options.data_dir = dir.path();
@@ -41,16 +43,16 @@ int main(int argc, char** argv) {
         "ot", OtImageCollector(
                   machine, CollectorPacing{
                                .mode = CollectorPacing::Mode::kReplay}));
-    std::size_t frames = 0;
     strata_rt.Deliver("archive", ot,
-                      [&frames](const spe::Tuple&) { ++frames; });
+                      [&archived](const spe::Tuple&) { ++archived; });
     strata_rt.Deploy();
     strata_rt.WaitForCompletion();
-    std::printf("phase 1: archived %zu OT frames to %s\n", frames,
+    std::printf("phase 1: archived %zu OT frames to %s\n", archived,
                 dir.path().c_str());
   }
 
   // ---- Phase 2: reopen and replay the archived topic ----
+  std::size_t replayed_frames = 0;
   {
     StrataOptions options;
     options.data_dir = dir.path();
@@ -63,8 +65,8 @@ int main(int argc, char** argv) {
                                     &strata_rt.broker(), "raw.ot",
                                     "replay-analysis"))
                           .value();
-    auto replayed = strata_rt.query().AddSource("replay",
-                                                subscriber->AsSourceFn());
+    auto replayed = strata_rt.query().AddBatchSource(
+        "replay", subscriber->AsBatchSourceFn());
     // Ad-hoc analysis: per-layer mean intensity of each frame.
     std::mutex mu;
     std::vector<double> layer_means;
@@ -78,8 +80,9 @@ int main(int argc, char** argv) {
     strata_rt.Deploy();
     strata_rt.WaitForCompletion();
 
+    replayed_frames = layer_means.size();
     std::printf("phase 2: replayed %zu frames from the archive\n",
-                layer_means.size());
+                replayed_frames);
     if (!layer_means.empty()) {
       std::vector<double> sorted = layer_means;
       std::sort(sorted.begin(), sorted.end());
@@ -93,6 +96,11 @@ int main(int argc, char** argv) {
           "updated thresholds from history: very_cold=%.1f very_warm=%.1f\n",
           thresholds.very_cold, thresholds.very_warm);
     }
+  }
+  if (archived == 0 || replayed_frames != archived) {
+    std::fprintf(stderr, "FAIL: archived %zu frames but replayed %zu\n",
+                 archived, replayed_frames);
+    return 1;
   }
   return 0;
 }

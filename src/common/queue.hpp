@@ -34,21 +34,10 @@ class BlockingQueue {
   BlockingQueue(const BlockingQueue&) = delete;
   BlockingQueue& operator=(const BlockingQueue&) = delete;
 
-  /// Blocks until space is available or the queue is closed. When the push
-  /// has to wait (back-pressure), the time spent blocked is added to
-  /// `*blocked_us` (untouched on the fast path, so callers can accumulate).
-  Status Push(T item, std::int64_t* blocked_us = nullptr) {
+  /// Blocks until space is available or the queue is closed.
+  Status Push(T item) {
     std::unique_lock lock(mu_);
-    if (!closed_ && items_.size() >= capacity_) {
-      const auto wait_start = std::chrono::steady_clock::now();
-      not_full_.wait(lock,
-                     [&] { return closed_ || items_.size() < capacity_; });
-      if (blocked_us != nullptr) {
-        *blocked_us += std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - wait_start)
-                           .count();
-      }
-    }
+    not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
     if (closed_) return Status::Closed("queue closed");
     items_.push_back(std::move(item));
     lock.unlock();

@@ -6,9 +6,9 @@
 // of keep-alive bookkeeping — the handler thread reads one request, writes
 // one response, and exits.
 //
-// Thread-per-connection like BrokerServer, and with the same stop
-// discipline: Stop() closes the listener and shuts every connection socket
-// down, which unblocks any handler parked in a read.
+// Thread-per-connection (unlike the epoll-reactor BrokerServer, which a
+// scrape-rate endpoint does not need): Stop() closes the listener and shuts
+// every connection socket down, which unblocks any handler parked in a read.
 //
 // The admin plane must never endanger the data plane: requests are parsed
 // defensively (8 KiB header cap, 5 s read deadline), handler exceptions are

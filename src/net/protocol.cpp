@@ -86,7 +86,7 @@ Status DecodeRequest(std::string_view payload, ApiKey* api,
   if (payload.empty()) return Truncated("request");
   const auto key = static_cast<std::uint8_t>(payload.front());
   if (key < static_cast<std::uint8_t>(ApiKey::kCreateTopic) ||
-      key > static_cast<std::uint8_t>(ApiKey::kClusterMeta)) {
+      key > static_cast<std::uint8_t>(kLastApiKey)) {
     return Status::Corruption("protocol: unknown api key " +
                               std::to_string(key));
   }

@@ -40,6 +40,9 @@ enum class ApiKey : std::uint8_t {
   kClusterMeta = 14,
 };
 
+/// The highest valid ApiKey; valid keys are 1..kLastApiKey.
+inline constexpr ApiKey kLastApiKey = ApiKey::kClusterMeta;
+
 /// The one protocol version this build speaks; both ends of a connection
 /// must match it exactly. 5: fixed 32-byte frame header (frame.hpp) and the
 /// acks byte always ends a Produce body.

@@ -16,7 +16,6 @@ BrokerServer::BrokerServer(ps::Broker* broker, BrokerServerOptions options)
   ctx_->broker = broker_;
   ctx_->options = &options_;
   ctx_->stopping = &stopping_;
-  ctx_->metrics = options_.metrics;
   if (options_.metrics != nullptr) {
     ctx_->connections_gauge =
         options_.metrics->GetGauge("net.server.connections");
@@ -24,6 +23,14 @@ BrokerServer::BrokerServer(ps::Broker* broker, BrokerServerOptions options)
     ctx_->bytes_out = options_.metrics->GetCounter("net.server.bytes_out");
     ctx_->fetch_wakeups =
         options_.metrics->GetCounter("net.server.fetch_wakeups");
+    for (auto key = static_cast<std::uint8_t>(ApiKey::kCreateTopic);
+         key <= static_cast<std::uint8_t>(kLastApiKey); ++key) {
+      const obs::Labels labels{{"api", ApiKeyName(static_cast<ApiKey>(key))}};
+      ctx_->api_metrics[key] = {
+          options_.metrics->GetCounter("net.server.requests", labels),
+          options_.metrics->GetHistogram("net.server.request_latency_us",
+                                         labels)};
+    }
   }
   ctx_->on_closed = [this](ServerConnection* conn) {
     std::lock_guard lock(conns_mu_);

@@ -256,14 +256,8 @@ Status ServerConnection::HandleRequest(std::string_view payload,
   }
 
   ps::Broker* broker = ctx_->broker;
-  obs::Counter* requests = nullptr;
-  obs::HistogramMetric* latency = nullptr;
-  if (ctx_->metrics != nullptr) {
-    const obs::Labels labels{{"api", ApiKeyName(api)}};
-    requests = ctx_->metrics->GetCounter("net.server.requests", labels);
-    latency =
-        ctx_->metrics->GetHistogram("net.server.request_latency_us", labels);
-  }
+  const auto [requests, latency] =
+      ctx_->api_metrics[static_cast<std::size_t>(api)];
   const std::int64_t start_us = NowUs();
 
   Status status = Status::Ok();

@@ -20,6 +20,7 @@
 // loop timer bounds the wait at the request's deadline.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -46,7 +47,6 @@ struct ServerContext {
   ps::Broker* broker = nullptr;
   const BrokerServerOptions* options = nullptr;
   std::atomic<bool>* stopping = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   obs::Gauge* connections_gauge = nullptr;
   obs::Counter* bytes_in = nullptr;
   obs::Counter* bytes_out = nullptr;
@@ -54,6 +54,15 @@ struct ServerContext {
   /// connection). Bounded per fetch when waits park on healed offsets; the
   /// regression tests assert it stays small.
   obs::Counter* fetch_wakeups = nullptr;
+  /// net.server.requests{api} and net.server.request_latency_us{api},
+  /// resolved once per ApiKey (indexed by its value) so a request never
+  /// takes the registry mutex. Null without a registry.
+  struct ApiMetrics {
+    obs::Counter* requests = nullptr;
+    obs::HistogramMetric* latency = nullptr;
+  };
+  std::array<ApiMetrics, static_cast<std::size_t>(kLastApiKey) + 1>
+      api_metrics{};
   /// Invoked on the connection's loop thread as the connection's very last
   /// act; must drop the owning reference (may destroy the connection).
   std::function<void(ServerConnection*)> on_closed;

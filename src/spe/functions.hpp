@@ -14,12 +14,14 @@
 namespace strata::spe {
 
 /// Produces the next tuple, blocking as needed; nullopt = end of stream.
+/// Query::AddSource runs it as a BatchSourceFn of one-tuple batches.
 using SourceFn = std::function<std::optional<Tuple>()>;
 
-/// Batch variant: produces whatever is ready as one batch (possibly empty —
-/// the source just polls again), blocking as needed; nullopt = end of
-/// stream. Preferred for ingest paths that already receive data in chunks
-/// (e.g. broker polls), so the data plane keeps the upstream batching.
+/// What a source operator runs: produces whatever is ready as one batch
+/// (possibly empty — the source just polls again), blocking as needed;
+/// nullopt = end of stream. Each batch is flushed downstream when the call
+/// returns, so ingest paths that receive data in chunks (e.g. broker polls)
+/// keep the upstream batching and no tuple waits out the next call.
 using BatchSourceFn = std::function<std::optional<TupleBatch>()>;
 
 /// 1 input -> N outputs (N may be 0). The Map/FlatMap operator.

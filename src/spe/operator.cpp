@@ -110,7 +110,9 @@ void Operator::ForwardBarrier(std::uint64_t epoch) {
   EnsureEmitState();
   for (std::size_t i = 0; i < outputs_.size(); ++i) {
     if (output_closed_[i]) continue;
-    if (!outputs_[i]->Push(Tuple::Barrier(epoch)).ok()) {
+    TupleBatch barrier;
+    barrier.push_back(Tuple::Barrier(epoch));
+    if (!outputs_[i]->PushBatch(&barrier).ok()) {
       output_closed_[i] = 1;
       --open_outputs_;
     }
@@ -120,10 +122,27 @@ void Operator::ForwardBarrier(std::uint64_t epoch) {
 // ------------------------------------------------------------------ Source
 
 void SourceOperator::Run() {
-  if (batch_fn_) {
-    RunBatchLoop();
-  } else {
-    RunTupleLoop();
+  // Each batch the function hands over (e.g. one broker poll) is emitted
+  // and flushed as a unit: the end of a call is a natural flush point, and
+  // the source cannot flush while blocked inside the next one.
+  while (!StopRequested()) {
+    MaybeInjectBarrier();
+    const std::int64_t trace_t0 =
+        obs::TracingEnabled() ? obs::TraceNowUs() : 0;
+    auto guarded = Guarded([&] { return fn_(); });
+    if (!guarded.has_value()) break;  // a throwing source ends its stream
+    std::optional<TupleBatch>& batch = *guarded;
+    if (!batch.has_value()) break;
+    if (trace_t0 != 0) TraceSourceBatch(name(), trace_t0, &*batch);
+    const Timestamp now = Now();
+    bool open = true;
+    for (Tuple& tuple : *batch) {
+      if (tuple.stimulus == 0) tuple.stimulus = now;
+      CountIn();
+      if (!(open = Emit(std::move(tuple)))) break;
+    }
+    if (!open) break;  // every consumer is gone
+    FlushEmit();
   }
   CloseOutputs();
 }
@@ -138,75 +157,6 @@ void SourceOperator::MaybeInjectBarrier() {
     // timeout covers a source stuck in a long produce call.
     last_injected_epoch_ = pending;
     CompleteBarrier(pending);
-  }
-}
-
-void SourceOperator::RunTupleLoop() {
-  // A source cannot flush while blocked inside fn_, so the flush policy
-  // keys off the arrival gap: a source slower than the linger flushes every
-  // tuple immediately (no added latency at low rates); a fast source buffers
-  // up to batch_size / linger_us like any other operator.
-  Timestamp last_arrival = 0;
-  while (!StopRequested()) {
-    MaybeInjectBarrier();
-    const std::int64_t trace_t0 =
-        obs::TracingEnabled() ? obs::TraceNowUs() : 0;
-    auto guarded = Guarded([&] { return fn_(); });
-    if (!guarded.has_value()) break;  // a throwing source ends its stream
-    std::optional<Tuple>& tuple = *guarded;
-    if (!tuple.has_value()) break;
-    const Timestamp now = Now();
-    if (tuple->stimulus == 0) tuple->stimulus = now;
-    CountIn();
-    if (trace_t0 != 0) {
-      obs::Tracer& tracer = obs::Tracer::Instance();
-      if (TraceContext ctx = tracer.MaybeStartTrace(); ctx.sampled()) {
-        obs::Span span;
-        span.trace_id = ctx.trace_id;
-        span.span_id = tracer.NewSpanId();
-        span.start_us = trace_t0;
-        span.dur_us = obs::TraceNowUs() - trace_t0;
-        span.batch = 1;
-        span.SetName(name().c_str());
-        span.SetCategory("spe.source");
-        tracer.Record(span);
-        tuple->trace = TraceContext{ctx.trace_id, span.span_id};
-      }
-    }
-    if (!Emit(std::move(*tuple))) break;  // every consumer is gone
-    const bool slow_source =
-        last_arrival == 0 || now - last_arrival >= linger_us();
-    last_arrival = now;
-    if (slow_source) {
-      FlushEmit();
-    } else {
-      MaybeFlush(/*input_idle=*/false);  // linger-bounded buffering
-    }
-  }
-}
-
-void SourceOperator::RunBatchLoop() {
-  // Each batch the function hands over (e.g. one broker poll) is emitted
-  // and flushed as a unit: upstream batch boundaries are natural flush
-  // points.
-  while (!StopRequested()) {
-    MaybeInjectBarrier();
-    const std::int64_t trace_t0 =
-        obs::TracingEnabled() ? obs::TraceNowUs() : 0;
-    auto guarded = Guarded([&] { return batch_fn_(); });
-    if (!guarded.has_value()) break;
-    std::optional<TupleBatch>& batch = *guarded;
-    if (!batch.has_value()) break;
-    if (trace_t0 != 0) TraceSourceBatch(name(), trace_t0, &*batch);
-    const Timestamp now = Now();
-    bool open = true;
-    for (Tuple& tuple : *batch) {
-      if (tuple.stimulus == 0) tuple.stimulus = now;
-      CountIn();
-      if (!(open = Emit(std::move(tuple)))) break;
-    }
-    if (!open) break;
-    FlushEmit();
   }
 }
 

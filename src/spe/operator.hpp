@@ -13,8 +13,9 @@
 // Data plane: operators consume whole drained batches (Stream::PopBatch)
 // and emit through per-output buffers that flush on batch-size, linger
 // expiry, or input idleness — one queue synchronization per batch instead of
-// per tuple. Emit reports when every downstream has closed so loops (and
-// sources in particular) can exit early instead of producing into the void.
+// per tuple. Sources flush each batch their function hands over. Emit
+// reports when every downstream has closed so loops (and sources in
+// particular) can exit early instead of producing into the void.
 //
 // Operator loops: every non-source operator runs one of two shared drivers
 // (RunSingleInput, RunAligned) and supplies only its per-tuple step plus an
@@ -625,23 +626,19 @@ class SourceOperator final : public Operator {
   [[nodiscard]] const char* kind() const noexcept override {
     return "source";
   }
-  SourceOperator(std::string name, const Clock* clock, SourceFn fn)
-      : Operator(std::move(name), clock), fn_(std::move(fn)) {}
-  /// Batch variant: the function hands over whole batches (e.g. everything
-  /// one broker poll returned), which are emitted and flushed as a unit.
+  /// The function hands over whole batches (everything one broker poll
+  /// returned, or a single collected tuple); each is emitted and flushed as
+  /// a unit, so nothing waits in an emit buffer while the function blocks.
   SourceOperator(std::string name, const Clock* clock, BatchSourceFn fn)
-      : Operator(std::move(name), clock), batch_fn_(std::move(fn)) {}
+      : Operator(std::move(name), clock), fn_(std::move(fn)) {}
   void Run() override;
 
  private:
-  void RunTupleLoop();
-  void RunBatchLoop();
   /// Polled between produce calls: when the checkpointer published a new
   /// pending epoch, snapshot (via the state hooks) and inject the barrier.
   void MaybeInjectBarrier();
 
-  SourceFn fn_;
-  BatchSourceFn batch_fn_;
+  BatchSourceFn fn_;
   std::uint64_t last_injected_epoch_ = 0;
 };
 

@@ -59,10 +59,14 @@ Op* Query::NewOperator(Args&&... args) {
 }
 
 StreamPtr Query::AddSource(const std::string& name, SourceFn fn) {
-  auto* op = NewOperator<SourceOperator>(name, options_.clock, std::move(fn));
-  StreamPtr out = NewStream(name + ".out");
-  op->AddOutput(out);
-  return out;
+  return AddBatchSource(
+      name, [fn = std::move(fn)]() -> std::optional<TupleBatch> {
+        std::optional<Tuple> tuple = fn();
+        if (!tuple.has_value()) return std::nullopt;
+        TupleBatch batch;
+        batch.push_back(std::move(*tuple));
+        return batch;
+      });
 }
 
 StreamPtr Query::AddBatchSource(const std::string& name, BatchSourceFn fn) {

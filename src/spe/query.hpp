@@ -61,6 +61,8 @@ class Query {
   // A builder that throws on a bad argument leaves its input streams
   // unconsumed and the query unchanged.
 
+  /// Source producing one tuple per call; each is flushed downstream as
+  /// soon as the call returns (a one-tuple batch).
   [[nodiscard]] StreamPtr AddSource(const std::string& name, SourceFn fn);
 
   /// Source whose function yields whole batches (e.g. one broker poll);

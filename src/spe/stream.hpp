@@ -1,11 +1,12 @@
 // A stream: the bounded channel connecting two operators, plus flow metrics.
-// Push blocks when the channel is full — back-pressure propagates upstream to
-// the sources, as in Liebre/StreamCloud.
+// PushBatch blocks when the channel is full — back-pressure propagates
+// upstream to the sources, as in Liebre/StreamCloud.
 //
 // The transport is one mutex/condvar BlockingQueue, safe for any number of
 // producers/consumers, including streams pushed from outside the query.
-// Capacity is counted in tuples; batches (PushBatch/PopBatch) amortize the
-// lock over many tuples, they are not a storage unit.
+// Every hand-off is a batch (a lone tuple, such as a barrier, is a batch of
+// one). Capacity is counted in tuples; batches amortize the lock over many
+// tuples, they are not a storage unit.
 #pragma once
 
 #include <atomic>
@@ -24,35 +25,6 @@ class Stream {
  public:
   Stream(std::string name, std::size_t capacity)
       : name_(std::move(name)), queue_(capacity) {}
-
-  // ----- single-tuple API (tests, external pushers, trickle paths) -----
-
-  [[nodiscard]] Status Push(Tuple tuple) {
-    std::int64_t blocked_us = 0;
-    const Status s = queue_.Push(std::move(tuple), &blocked_us);
-    if (blocked_us > 0) {
-      blocked_us_.fetch_add(static_cast<std::uint64_t>(blocked_us),
-                            std::memory_order_relaxed);
-    }
-    if (s.ok()) {
-      pushed_.fetch_add(1, std::memory_order_relaxed);
-    } else if (s.IsClosed()) {
-      discarded_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return s;
-  }
-
-  [[nodiscard]] std::optional<Tuple> Pop() {
-    auto t = queue_.Pop();
-    if (t.has_value()) popped_.fetch_add(1, std::memory_order_relaxed);
-    return t;
-  }
-
-  [[nodiscard]] std::optional<Tuple> PopFor(std::chrono::microseconds timeout) {
-    auto t = queue_.PopFor(timeout);
-    if (t.has_value()) popped_.fetch_add(1, std::memory_order_relaxed);
-    return t;
-  }
 
   // ----- batch API (one synchronization per batch) -----
 

@@ -1,7 +1,5 @@
 #include "strata/connector.hpp"
 
-#include <algorithm>
-
 #include "common/codec.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -16,9 +14,8 @@ constexpr auto kPollTimeout = std::chrono::microseconds(2000);
 spe::SinkFn ConnectorPublisher::AsSinkFn() {
   return [this](const spe::Tuple& tuple) {
     std::string encoded;
-    const TransportTag tag =
-        tagging_ ? TransportTag{epoch_, seq_ + 1} : TransportTag{};
-    if (Status s = EncodeTaggedTuple(tag, tuple, &encoded); !s.ok()) {
+    if (Status s = EncodeTaggedTuple(tagging_ ? seq_ + 1 : 0, tuple, &encoded);
+        !s.ok()) {
       encode_errors_.fetch_add(1, std::memory_order_relaxed);
       LOG_ERROR << "connector publish encode failed on topic " << topic_
                 << ": " << s.ToString();
@@ -51,7 +48,7 @@ std::function<void()> ConnectorPublisher::AsFinishHook() {
     spe::Tuple eos;
     eos.payload.Set(kEosKey, true);
     std::string encoded;
-    if (Status s = EncodeTaggedTuple(TransportTag{}, eos, &encoded); !s.ok()) {
+    if (Status s = EncodeTaggedTuple(0, eos, &encoded); !s.ok()) {
       return;
     }
     (void)producer_->Send(topic_, "", std::move(encoded), 0);
@@ -59,9 +56,7 @@ std::function<void()> ConnectorPublisher::AsFinishHook() {
 }
 
 spe::SnapshotFn ConnectorPublisher::AsSnapshotFn() {
-  return [this](std::uint64_t epoch, std::string* out) {
-    epoch_ = epoch;  // records published after this barrier carry `epoch`
-    codec::PutVarint64(out, epoch_);
+  return [this](std::uint64_t, std::string* out) {
     codec::PutVarint64(out, seq_);
     return Status::Ok();
   };
@@ -69,16 +64,13 @@ spe::SnapshotFn ConnectorPublisher::AsSnapshotFn() {
 
 spe::RestoreFn ConnectorPublisher::AsRestoreFn() {
   return [this](std::string_view blob) {
-    std::uint64_t epoch = 0;
     std::uint64_t seq = 0;
-    if (!codec::GetVarint64(&blob, &epoch) ||
-        !codec::GetVarint64(&blob, &seq) || !blob.empty()) {
+    if (!codec::GetVarint64(&blob, &seq) || !blob.empty()) {
       return Status::Corruption("publisher snapshot unparsable for topic " +
                                 topic_);
     }
     // Replayed tuples are re-tagged with the sequence numbers they carried
     // before the crash, which is what lets subscribers drop them.
-    epoch_ = epoch;
     seq_ = seq;
     return Status::Ok();
   };
@@ -108,19 +100,16 @@ Result<std::shared_ptr<ConnectorSubscriber>> ConnectorSubscriber::Create(
   return Create(&client, topic, group, checkpointed);
 }
 
-spe::SourceFn ConnectorSubscriber::AsSourceFn() {
-  // The returned SourceFn shares `this` via the shared_ptr the caller holds;
-  // Strata keeps subscribers alive for the query's lifetime.
-  return [this]() { return Next(); };
-}
-
 spe::BatchSourceFn ConnectorSubscriber::AsBatchSourceFn() {
+  // The returned function shares `this` via the shared_ptr the caller holds;
+  // Strata keeps subscribers alive for the query's lifetime.
   return [this]() { return NextBatch(); };
 }
 
-bool ConnectorSubscriber::FillBuffer() {
-  while (buffered_.empty()) {
-    if (stopped_.load(std::memory_order_acquire)) return false;
+std::optional<spe::TupleBatch> ConnectorSubscriber::NextBatch() {
+  spe::TupleBatch out;
+  while (out.empty()) {
+    if (stopped_.load(std::memory_order_acquire)) return std::nullopt;
 
     const std::int64_t poll_t0 =
         obs::TracingEnabled() ? obs::TraceNowUs() : 0;
@@ -130,22 +119,23 @@ bool ConnectorSubscriber::FillBuffer() {
         // Nothing arrived inside the poll window. If EOS was seen, an empty
         // window means all partitions are drained (the EOS record is
         // globally last): end of stream.
-        if (eos_seen_) return false;
+        if (eos_seen_) return std::nullopt;
         continue;
       }
       if (!batch.status().IsClosed()) {
         LOG_ERROR << "connector poll failed: " << batch.status().ToString();
       }
-      return false;
+      return std::nullopt;
     }
     if (batch->empty()) {
-      if (eos_seen_) return false;
+      if (eos_seen_) return std::nullopt;
       continue;
     }
+    out.reserve(batch->size());
     TraceContext sampled;  // first sampled tuple this poll delivered
     for (const ps::ConsumedRecord& record : *batch) {
-      TransportTag tag;
-      auto tuple = DecodeTaggedTuple(record.value, &tag);
+      std::uint64_t seq = 0;
+      auto tuple = DecodeTaggedTuple(record.value, &seq);
       if (!tuple.ok()) {
         LOG_ERROR << "connector decode failed: " << tuple.status().ToString();
         continue;
@@ -154,26 +144,21 @@ bool ConnectorSubscriber::FillBuffer() {
         eos_seen_ = true;
         continue;  // sentinel is not delivered downstream
       }
-      if (tag.seq != 0) {
+      if (seq != 0) {
         // Tagged record: sequence numbers are monotonic within a partition
         // (per-key ordering), so anything at or below the floor is a replay
-        // of a record already seen before the publisher recovered.
-        std::uint64_t& floor = seen_floor_[record.partition];
-        if (tag.seq <= floor) {
+        // of a record already delivered before the publisher recovered.
+        std::uint64_t& floor = seq_floor_[record.partition];
+        if (seq <= floor) {
           duplicates_dropped_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        floor = tag.seq;
+        floor = seq;
       }
       if (!sampled.sampled() && tuple->trace.sampled()) {
         sampled = tuple->trace;
       }
-      Buffered entry;
-      entry.tuple = std::move(tuple).value();
-      entry.partition = record.partition;
-      entry.offset = record.offset;
-      entry.seq = tag.seq;
-      buffered_.push_back(std::move(entry));
+      out.push_back(std::move(tuple).value());
     }
     if (poll_t0 != 0 && sampled.sampled()) {
       // Fetch-hop span: dur covers the poll. Broker + wire transit time is
@@ -192,60 +177,27 @@ bool ConnectorSubscriber::FillBuffer() {
       tracer.Record(span);
     }
   }
-  return true;
-}
-
-void ConnectorSubscriber::NoteDelivered(const Buffered& entry) {
-  if (entry.seq == 0) return;
-  std::uint64_t& floor = deliv_floor_[entry.partition];
-  floor = std::max(floor, entry.seq);
-}
-
-std::optional<spe::Tuple> ConnectorSubscriber::Next() {
-  if (!FillBuffer()) return std::nullopt;
-  Buffered entry = std::move(buffered_.front());
-  buffered_.pop_front();
-  NoteDelivered(entry);
-  return std::move(entry.tuple);
-}
-
-std::optional<spe::TupleBatch> ConnectorSubscriber::NextBatch() {
-  if (!FillBuffer()) return std::nullopt;
-  spe::TupleBatch out;
-  out.reserve(buffered_.size());
-  for (Buffered& entry : buffered_) {
-    NoteDelivered(entry);
-    out.push_back(std::move(entry.tuple));
-  }
-  buffered_.clear();
   return out;
 }
 
 spe::SnapshotFn ConnectorSubscriber::AsSnapshotFn() {
   return [this](std::uint64_t, std::string* out) {
-    // Replay cursor for every assigned partition: the first
-    // buffered-but-undelivered offset, else the next un-polled one. Tuples
-    // already delivered into the SPE are covered by downstream snapshots of
-    // the same epoch; everything at or after the cursor is re-polled on
-    // recovery.
+    // Replay cursor for every assigned partition: the next un-polled offset.
+    // The source operator snapshots between calls, so every polled record is
+    // already in the SPE, covered by downstream snapshots of the same epoch;
+    // everything at or after the cursor is re-polled on recovery.
     std::map<int, std::int64_t> resume;
     for (const ps::TopicPartition& tp : consumer_->assignment()) {
       if (const auto position = consumer_->Position(tp)) {
         resume[tp.partition] = *position;
       }
     }
-    for (const Buffered& entry : buffered_) {
-      const auto [it, fresh] =
-          resume.try_emplace(entry.partition, entry.offset);
-      if (!fresh) it->second = std::min(it->second, entry.offset);
-    }
     codec::PutVarint64(out, resume.size());
     for (const auto& [partition, offset] : resume) {
       codec::PutVarint64(out, static_cast<std::uint64_t>(partition));
       codec::PutVarint64Signed(out, offset);
-      const auto floor = deliv_floor_.find(partition);
-      codec::PutVarint64(out,
-                         floor == deliv_floor_.end() ? 0 : floor->second);
+      const auto floor = seq_floor_.find(partition);
+      codec::PutVarint64(out, floor == seq_floor_.end() ? 0 : floor->second);
     }
     return Status::Ok();
   };
@@ -273,14 +225,12 @@ spe::RestoreFn ConnectorSubscriber::AsRestoreFn() {
       // silently skipping data would break the recovery guarantee.
       STRATA_RETURN_IF_ERROR(
           consumer_->Seek(topic_, static_cast<int>(partition), offset));
-      seen_floor_[static_cast<int>(partition)] = floor;
-      deliv_floor_[static_cast<int>(partition)] = floor;
+      seq_floor_[static_cast<int>(partition)] = floor;
     }
     if (!blob.empty()) {
       return Status::Corruption("subscriber snapshot trailing bytes for " +
                                 topic_);
     }
-    buffered_.clear();
     eos_seen_ = false;
     return Status::Ok();
   };

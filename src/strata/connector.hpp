@@ -5,15 +5,14 @@
 // topic, plus a finish hook that appends an end-of-stream sentinel once the
 // upstream drains (each connector topic has exactly one publisher).
 //
-// Subscriber side: a SourceFn wrapping a consumer-group member. It polls the
-// topic and re-materializes tuples; after the EOS sentinel it drains all
-// assigned partitions and ends the stream. Stop() aborts the poll loop for
-// non-draining shutdown.
+// Subscriber side: a BatchSourceFn wrapping a consumer-group member. Each
+// call polls the topic and hands over the tuples one poll re-materialized;
+// after the EOS sentinel it drains all assigned partitions and ends the
+// stream. Stop() aborts the poll loop for non-draining shutdown.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -46,10 +45,10 @@ class ConnectorPublisher {
 
   /// SinkFn publishing each tuple.
   [[nodiscard]] spe::SinkFn AsSinkFn();
-  /// Finish hook publishing the EOS sentinel (always tagged (0, 0)).
+  /// Finish hook publishing the EOS sentinel (always untagged).
   [[nodiscard]] std::function<void()> AsFinishHook();
 
-  /// Tag every published record with (epoch, seq) for effectively-once
+  /// Tag every published record with a sequence number for effectively-once
   /// consumption (checkpointing deployments). Call before the query starts.
   void EnableTagging() { tagging_ = true; }
 
@@ -74,7 +73,6 @@ class ConnectorPublisher {
   // Tag state. Touched only on the sink operator's thread: the SinkFn and
   // the snapshot hook both run there, and the restore hook runs before the
   // query starts.
-  std::uint64_t epoch_ = 0;
   std::uint64_t seq_ = 0;  ///< last assigned sequence number (first tag is 1)
   std::atomic<std::uint64_t> encode_errors_{0};
 };
@@ -95,20 +93,19 @@ class ConnectorSubscriber {
       ps::Broker* broker, const std::string& topic, const std::string& group,
       bool checkpointed = false);
 
-  /// SourceFn yielding tuples until EOS-and-drained or Stop().
-  [[nodiscard]] spe::SourceFn AsSourceFn();
-
-  /// BatchSourceFn yielding everything one broker poll returned as a single
-  /// batch — the SPE emits and flushes it as a unit, so broker poll
-  /// boundaries become data-plane batch boundaries (no per-tuple handoff).
+  /// BatchSourceFn yielding everything one broker poll delivered as a
+  /// single batch, until EOS-and-drained or Stop(). The SPE emits and
+  /// flushes it as a unit, so broker poll boundaries become data-plane batch
+  /// boundaries.
   [[nodiscard]] spe::BatchSourceFn AsBatchSourceFn();
 
   void Stop() { stopped_.store(true, std::memory_order_release); }
 
   /// Checkpoint hooks for the subscribing source operator (create it
-  /// `checkpointed`). The snapshot is the replay cursor of every assigned
-  /// partition (the offset of the first record not yet delivered into the
-  /// SPE) plus the per-partition delivered sequence floor. Restore seeks the
+  /// `checkpointed`). The snapshot runs between source calls, when every
+  /// polled record has been delivered into the SPE: it is the consumer's
+  /// position in every assigned partition (the first un-polled offset) plus
+  /// the per-partition sequence floor. Restore seeks the
   /// consumer back to those offsets — a truncated offset surfaces the
   /// broker's OutOfRange instead of silently skipping data — and re-seeds
   /// the floors so replayed records dedupe. A partition the blob does not
@@ -122,33 +119,21 @@ class ConnectorSubscriber {
   }
 
  private:
-  /// One polled record awaiting delivery into the SPE.
-  struct Buffered {
-    spe::Tuple tuple;
-    int partition = 0;
-    std::int64_t offset = 0;
-    std::uint64_t seq = 0;  ///< 0 = untagged
-  };
-
   ConnectorSubscriber(std::unique_ptr<ps::Consumer> consumer,
                       std::string topic)
       : consumer_(std::move(consumer)), topic_(std::move(topic)) {}
 
-  /// Polls until `buffered_` is non-empty; false at end of stream.
-  [[nodiscard]] bool FillBuffer();
-  [[nodiscard]] std::optional<spe::Tuple> Next();
+  /// Polls until a poll delivers at least one tuple; nullopt at end of
+  /// stream.
   [[nodiscard]] std::optional<spe::TupleBatch> NextBatch();
-  void NoteDelivered(const Buffered& entry);
 
   std::unique_ptr<ps::Consumer> consumer_;
   std::string topic_;  ///< span naming only
-  std::deque<Buffered> buffered_;
   std::atomic<bool> stopped_{false};
   bool eos_seen_ = false;
   // Replay/dedupe state, touched only on the source operator's thread (the
   // restore hook runs before the query starts).
-  std::map<int, std::uint64_t> seen_floor_;   ///< max seq polled (dedupe gate)
-  std::map<int, std::uint64_t> deliv_floor_;  ///< max seq delivered to SPE
+  std::map<int, std::uint64_t> seq_floor_;  ///< max seq delivered (dedupe)
   std::atomic<std::uint64_t> duplicates_dropped_{0};
 };
 

@@ -74,9 +74,10 @@ struct StrataOptions {
   /// Epoch-barrier checkpoint cadence for the deployed query, in
   /// milliseconds; 0 disables checkpointing. When enabled, Deploy() first
   /// recovers operator state and broker replay cursors from the latest
-  /// completed checkpoint, and connector publishers tag records with
-  /// (epoch, seq) so subscribers drop replayed duplicates — effectively-once
-  /// across a crash (see DESIGN.md "Checkpoint & recovery"). Pair with
+  /// completed checkpoint, and connector publishers tag records with a
+  /// sequence number so subscribers drop replayed duplicates —
+  /// effectively-once across a crash (see DESIGN.md "Checkpoint &
+  /// recovery"). Pair with
   /// persistent_connectors and a fixed data_dir so the replayed topics and
   /// the checkpoints survive the process.
   std::int64_t checkpoint_interval_ms = 0;

@@ -4,17 +4,15 @@
 
 namespace strata::core {
 
-Status EncodeTaggedTuple(const TransportTag& tag, const spe::Tuple& tuple,
+Status EncodeTaggedTuple(std::uint64_t seq, const spe::Tuple& tuple,
                          std::string* out) {
-  codec::PutVarint64(out, tag.epoch);
-  codec::PutVarint64(out, tag.seq);
+  codec::PutVarint64(out, seq);
   return EncodeTuple(tuple, out);
 }
 
 Result<spe::Tuple> DecodeTaggedTuple(std::string_view data,
-                                     TransportTag* tag) {
-  if (!codec::GetVarint64(&data, &tag->epoch) ||
-      !codec::GetVarint64(&data, &tag->seq)) {
+                                     std::uint64_t* seq) {
+  if (!codec::GetVarint64(&data, seq)) {
     return Status::Corruption("connector record: truncated tag");
   }
   return DecodeTuple(data);

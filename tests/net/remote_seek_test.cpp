@@ -1,8 +1,8 @@
-// RemoteConsumer::Seek — checkpoint replay over the wire. The remote seek
-// validates the requested offset against the server's current [start, end)
-// bounds via a Metadata round-trip, so a checkpoint that outlived broker
-// retention surfaces as one clean OutOfRange instead of a fetch loop that
-// spins on an offset the server no longer holds.
+// ps::Consumer::Seek over the remote transport — checkpoint replay over the
+// wire. The seek validates the requested offset against the server's
+// current [start, end) bounds via a Metadata round-trip, so a checkpoint
+// that outlived broker retention surfaces as one clean OutOfRange instead of
+// a fetch loop that spins on an offset the server no longer holds.
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -373,6 +373,23 @@ TEST(BrokerServer, ServerMetricsAreRecorded) {
   // responses exactly the bytes it read.
   const double in_before = snapshot.Value("net.server.bytes_in").value_or(0);
   const double out_before = snapshot.Value("net.server.bytes_out").value_or(0);
+  // Per-api request counts and latency samples, by api label.
+  auto requests = [](const obs::MetricsSnapshot& s, const char* api) {
+    return s.Value("net.server.requests", {{"api", api}}).value_or(0);
+  };
+  auto latency_samples = [](const obs::MetricsSnapshot& s, const char* api) {
+    for (const obs::HistogramSample& h : s.histograms) {
+      if (h.name == "net.server.request_latency_us" &&
+          h.labels == obs::Labels{{"api", api}}) {
+        return h.stats.count;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  const double hello_before = requests(snapshot, "hello");
+  const double metadata_before = requests(snapshot, "metadata");
+  const std::uint64_t metadata_latency_before =
+      latency_samples(snapshot, "metadata");
   constexpr int kRequests = 5;
   std::string hello_body;
   EncodeHelloRequest(HelloRequest{}, &hello_body);
@@ -403,6 +420,11 @@ TEST(BrokerServer, ServerMetricsAreRecorded) {
             static_cast<double>(written.size()));
   EXPECT_EQ(snapshot.Value("net.server.bytes_out").value_or(0) - out_before,
             static_cast<double>(read_bytes));
+  EXPECT_EQ(requests(snapshot, "hello") - hello_before, 1.0);
+  EXPECT_EQ(requests(snapshot, "metadata") - metadata_before,
+            static_cast<double>(kRequests));
+  EXPECT_EQ(latency_samples(snapshot, "metadata") - metadata_latency_before,
+            static_cast<std::uint64_t>(kRequests));
   server.Stop();
 }
 

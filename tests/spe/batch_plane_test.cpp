@@ -1,5 +1,5 @@
-// Batched data-plane semantics: flush-on-close delivery, linger-bounded
-// buffering, back-pressure accounting through the batch APIs, and the
+// Batched data-plane semantics: flush-on-close delivery, per-call source
+// flushes, back-pressure accounting through the batch APIs, and the
 // all-outputs-closed early exit with discarded-tuple accounting, and the
 // consume-loop contract every non-source operator kind shares.
 #include <gtest/gtest.h>
@@ -17,9 +17,14 @@
 #include "spe/plan_rewrite.hpp"
 #include "spe/query.hpp"
 #include "spe/replay_source.hpp"
+#include "spe_test_util.hpp"
 
 namespace strata::spe {
 namespace {
+
+using namespace std::chrono_literals;
+using testutil::PopOne;
+using testutil::PushOne;
 
 Tuple MakeTuple(Timestamp t) {
   Tuple tuple;
@@ -27,30 +32,66 @@ Tuple MakeTuple(Timestamp t) {
   return tuple;
 }
 
-// A finite fast source with batch_size larger than the whole input and an
-// effectively-infinite linger: nothing can flush on size or time, so every
-// tuple the sink sees was delivered by the close-then-drain flush.
+template <typename Pred>
+bool WaitUntil(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+// An aggregate whose windows all close only at end of input, with
+// batch_size larger than its whole output and an effectively-infinite
+// linger: nothing can flush on size, time or idleness, so every result the
+// sink sees was delivered by the close-then-drain flush.
 TEST(BatchPlane, FlushOnCloseDeliversBufferedTuples) {
   QueryOptions options;
   options.batch_size = 1000;
   options.batch_linger_us = 10'000'000;
   Query query(options);
 
-  std::atomic<int> produced{0};
-  auto src = query.AddSource("src", [&]() -> std::optional<Tuple> {
-    if (produced >= 100) return std::nullopt;
-    return MakeTuple(produced++);
-  });
-  std::vector<Timestamp> seen;
-  query.AddSink("sink", src, [&](const Tuple& t) {
-    seen.push_back(t.event_time);
+  std::vector<Tuple> input;
+  for (Timestamp t = 0; t < 100; ++t) input.push_back(MakeTuple(t));
+  auto src = query.AddSource("src", VectorSource(input));
+  // One group per tuple: 100 results, all emitted at end of input.
+  auto counts = query.AddAggregate(
+      "count", src,
+      testutil::CountAggregate(1'000'000, 1'000'000, [](const Tuple& t) {
+        return std::to_string(t.event_time);
+      }));
+  std::vector<std::int64_t> seen;
+  query.AddSink("sink", counts, [&](const Tuple& t) {
+    seen.push_back(t.payload.Get("count").AsInt());
   });
   query.Run();
 
   ASSERT_EQ(seen.size(), 100u);
-  for (Timestamp t = 0; t < 100; ++t) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)], t);
-  }
+  for (const std::int64_t count : seen) EXPECT_EQ(count, 1);
+}
+
+// A per-tuple source that emits a burst and then blocks in its next call
+// must not sit on the tail of the burst: each call's tuple is flushed when
+// the call returns, whatever the linger. The blocked call gives up after
+// 2 s so that a source holding the tail fails instead of hanging.
+TEST(BatchPlane, SourceBurstReachesSinkWhileSourceBlocks) {
+  Query query;  // default batch_size and linger
+  std::atomic<int> seen{0};
+  int calls = 0;
+  int seen_while_blocked = 0;
+  auto src = query.AddSource("src", [&]() -> std::optional<Tuple> {
+    if (calls < 3) return MakeTuple(calls++);
+    (void)WaitUntil([&] { return seen.load() == 3; }, 2000ms);
+    seen_while_blocked = seen.load();
+    return std::nullopt;
+  });
+  query.AddSink("sink", src, [&](const Tuple&) { ++seen; });
+  query.Run();
+
+  EXPECT_EQ(seen_while_blocked, 3) << "tuples sat in the emit buffer while "
+                                      "the source blocked";
+  EXPECT_EQ(seen.load(), 3);
 }
 
 TEST(BatchPlane, BatchSourceFlushesEachUpstreamBatch) {
@@ -75,8 +116,8 @@ TEST(BatchPlane, BatchSourceFlushesEachUpstreamBatch) {
 }
 
 // A source steadily faster than the linger never reaches batch_size=1000,
-// yet the sink must receive tuples while the query is live: the linger
-// flush bounds how long a tuple can sit in an emit buffer.
+// yet the sink must receive tuples while the query is live: no tuple may
+// sit in an emit buffer until a size or close flush.
 TEST(BatchPlane, LingerFlushDeliversWhileRunning) {
   QueryOptions options;
   options.batch_size = 1000;
@@ -99,7 +140,7 @@ TEST(BatchPlane, LingerFlushDeliversWhileRunning) {
   while (consumed.load() < 50 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(consumed.load(), 50);  // flushed by linger, not by size/close
+  EXPECT_GE(consumed.load(), 50);  // flushed while live, not by size/close
   done = true;
   query.Join();
   EXPECT_EQ(consumed.load(), produced.load());
@@ -162,8 +203,8 @@ TEST(BatchPlane, SourceExitsEarlyWhenOutputClosed) {
 
   std::atomic<int> produced{0};
   SourceOperator source("src", &Clock::System(),
-                        SourceFn([&]() -> std::optional<Tuple> {
-                          return MakeTuple(produced++);  // endless
+                        BatchSourceFn([&]() -> std::optional<TupleBatch> {
+                          return TupleBatch{MakeTuple(produced++)};  // endless
                         }));
   source.AddOutput(out);
   source.Run();  // must return: Emit reports all outputs closed
@@ -190,7 +231,7 @@ TEST(BatchPlane, OperatorEarlyExitReleasesBlockedProducer) {
 
   std::thread producer([&] {
     for (Timestamp t = 0;; ++t) {
-      if (!in->Push(MakeTuple(t)).ok()) break;  // released by CloseInputs
+      if (!PushOne(*in, MakeTuple(t)).ok()) break;  // released by CloseInputs
     }
   });
 
@@ -205,18 +246,6 @@ TEST(BatchPlane, OperatorEarlyExitReleasesBlockedProducer) {
 // Every non-source operator kind runs the same consume loop (one driver per
 // input shape). The cases below pin its contract per kind: early exit when
 // every downstream is gone, and the barrier rules of an aligned snapshot.
-
-using namespace std::chrono_literals;
-
-template <typename Pred>
-bool WaitUntil(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
-}
 
 /// Tuples ahead of / behind the barrier on each input of the barrier case.
 constexpr std::int64_t kAhead = 3;
@@ -419,7 +448,7 @@ TEST_P(OperatorLoop, EarlyExitReleasesBlockedProducers) {
   for (const StreamPtr& in : rig.inputs) {
     producers.emplace_back([in] {
       for (Timestamp t = 0;; ++t) {
-        if (!in->Push(MakeTuple(t)).ok()) break;  // released by CloseInputs
+        if (!PushOne(*in, MakeTuple(t)).ok()) break;  // released by CloseInputs
       }
     });
   }
@@ -452,11 +481,11 @@ TEST_P(OperatorLoop, MidBatchBarrierSnapshotsBeforeLaterTuples) {
   for (const StreamPtr& in : rig.inputs) {
     Timestamp t = 0;
     for (std::int64_t k = 0; k < kAhead; ++k) {
-      ASSERT_TRUE(in->Push(MakeTuple(t++)).ok());
+      ASSERT_TRUE(PushOne(*in, MakeTuple(t++)).ok());
     }
-    ASSERT_TRUE(in->Push(Tuple::Barrier(epoch)).ok());
+    ASSERT_TRUE(PushOne(*in, Tuple::Barrier(epoch)).ok());
     for (std::int64_t k = 0; k < kBehind; ++k) {
-      ASSERT_TRUE(in->Push(MakeTuple(t++)).ok());
+      ASSERT_TRUE(PushOne(*in, MakeTuple(t++)).ok());
     }
     in->Close();
   }
@@ -486,7 +515,7 @@ TEST_P(OperatorLoop, MidBatchBarrierSnapshotsBeforeLaterTuples) {
   std::int64_t total = 0;
   for (const StreamPtr& out : rig.outputs) {
     int barriers = 0;
-    while (auto tuple = out->Pop()) {
+    while (auto tuple = PopOne(*out)) {
       if (tuple->IsBarrier()) {
         EXPECT_EQ(tuple->barrier_epoch, epoch);
         ++barriers;

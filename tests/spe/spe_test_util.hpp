@@ -2,6 +2,7 @@
 #pragma once
 
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "spe/query.hpp"
@@ -22,6 +23,21 @@ inline Tuple MakeValueTuple(Timestamp event_time, double value,
   Tuple t = MakeTuple(event_time, job, layer);
   t.payload.Set("value", value);
   return t;
+}
+
+/// Pushes one tuple as a batch of one (streams move batches only).
+[[nodiscard]] inline Status PushOne(Stream& stream, Tuple tuple) {
+  TupleBatch batch;
+  batch.push_back(std::move(tuple));
+  return stream.PushBatch(&batch);
+}
+
+/// Pops one tuple (a drain of at most one); nullopt once the stream is
+/// closed and drained.
+[[nodiscard]] inline std::optional<Tuple> PopOne(Stream& stream) {
+  auto batch = stream.PopBatch(/*max_tuples=*/1);
+  if (!batch.has_value()) return std::nullopt;
+  return std::move(batch->front());
 }
 
 /// Thread-safe tuple collector usable as a SinkFn.

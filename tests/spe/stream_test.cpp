@@ -5,9 +5,13 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "spe_test_util.hpp"
 
 namespace strata::spe {
 namespace {
+
+using testutil::PopOne;
+using testutil::PushOne;
 
 Tuple TupleAt(Timestamp t) {
   Tuple tuple;
@@ -17,13 +21,13 @@ Tuple TupleAt(Timestamp t) {
 
 TEST(Stream, PushPopCountsFlow) {
   Stream stream("s", 8);
-  ASSERT_TRUE(stream.Push(TupleAt(1)).ok());
-  ASSERT_TRUE(stream.Push(TupleAt(2)).ok());
+  ASSERT_TRUE(PushOne(stream, TupleAt(1)).ok());
+  ASSERT_TRUE(PushOne(stream, TupleAt(2)).ok());
   EXPECT_EQ(stream.pushed(), 2u);
   EXPECT_EQ(stream.popped(), 0u);
   EXPECT_EQ(stream.depth(), 2u);
 
-  auto t = stream.Pop();
+  auto t = PopOne(stream);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->event_time, 1);
   EXPECT_EQ(stream.popped(), 1u);
@@ -38,27 +42,28 @@ TEST(Stream, CapacityReported) {
 
 TEST(Stream, DrainedSemantics) {
   Stream stream("s", 4);
-  ASSERT_TRUE(stream.Push(TupleAt(1)).ok());
+  ASSERT_TRUE(PushOne(stream, TupleAt(1)).ok());
   EXPECT_FALSE(stream.closed());
   EXPECT_FALSE(stream.drained());
   stream.Close();
   EXPECT_TRUE(stream.closed());
   EXPECT_FALSE(stream.drained());  // still holds a tuple
-  EXPECT_TRUE(stream.Pop().has_value());
+  EXPECT_TRUE(PopOne(stream).has_value());
   EXPECT_TRUE(stream.drained());
-  EXPECT_FALSE(stream.Pop().has_value());
+  EXPECT_FALSE(PopOne(stream).has_value());
 }
 
 TEST(Stream, PushAfterCloseFails) {
   Stream stream("s", 4);
   stream.Close();
-  EXPECT_TRUE(stream.Push(TupleAt(1)).IsClosed());
+  EXPECT_TRUE(PushOne(stream, TupleAt(1)).IsClosed());
   EXPECT_EQ(stream.pushed(), 0u);  // failed pushes do not count
 }
 
 TEST(Stream, PopForTimesOutOnEmpty) {
   Stream stream("s", 4);
-  EXPECT_FALSE(stream.PopFor(std::chrono::microseconds(5'000)).has_value());
+  EXPECT_FALSE(
+      stream.PopBatchFor(std::chrono::microseconds(5'000)).has_value());
 }
 
 TEST(Stream, TupleApproxBytesIncludesPayload) {
@@ -132,12 +137,12 @@ TEST(Stream, PushBatchIntoClosedCountsDiscarded) {
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(stream.pushed(), 0u);
   EXPECT_EQ(stream.discarded(), 3u);
-  EXPECT_TRUE(stream.Push(TupleAt(9)).IsClosed());
+  EXPECT_TRUE(PushOne(stream, TupleAt(9)).IsClosed());
   EXPECT_EQ(stream.discarded(), 4u);
 }
 
-// A seeded 1P1C workload mixing single-tuple and batch calls on both ends:
-// order, counters, and close-then-drain behavior must hold exactly.
+// A seeded 1P1C workload mixing one-tuple and multi-tuple batches on both
+// ends: order, counters, and close-then-drain behavior must hold exactly.
 TEST(Stream, SeededStressPreservesOrderAndCounters) {
   constexpr int kTotal = 20'000;
   Stream stream("s", 16);
@@ -147,7 +152,7 @@ TEST(Stream, SeededStressPreservesOrderAndCounters) {
     int next = 0;
     while (next < kTotal) {
       if (rng.UniformInt(0, 1) == 0) {
-        ASSERT_TRUE(stream.Push(TupleAt(next++)).ok());
+        ASSERT_TRUE(PushOne(stream, TupleAt(next++)).ok());
       } else {
         const int n = static_cast<int>(rng.UniformInt(1, 40));
         TupleBatch batch;
@@ -164,7 +169,7 @@ TEST(Stream, SeededStressPreservesOrderAndCounters) {
   Timestamp expected = 0;
   while (true) {
     if (rng.UniformInt(0, 1) == 0) {
-      auto t = stream.Pop();
+      auto t = PopOne(stream);
       if (!t.has_value()) break;
       ASSERT_EQ(t->event_time, expected++);
     } else {
@@ -197,11 +202,11 @@ TEST(Stream, SeededBarrierStreamPreservesPositions) {
       const std::uint64_t roll = rng.UniformInt(0, 9);
       if (roll == 0) {
         // Inject a barrier; data tuples record which epoch they follow.
-        ASSERT_TRUE(stream.Push(Tuple::Barrier(++epoch)).ok());
+        ASSERT_TRUE(PushOne(stream, Tuple::Barrier(++epoch)).ok());
       } else if (roll <= 5) {
         Tuple t = TupleAt(next++);
         t.job = static_cast<std::int64_t>(epoch);
-        ASSERT_TRUE(stream.Push(std::move(t)).ok());
+        ASSERT_TRUE(PushOne(stream, std::move(t)).ok());
       } else {
         const int n = static_cast<int>(rng.UniformInt(1, 40));
         TupleBatch batch;
@@ -235,7 +240,7 @@ TEST(Stream, SeededBarrierStreamPreservesPositions) {
   };
   while (true) {
     if (rng.UniformInt(0, 1) == 0) {
-      auto t = stream.Pop();
+      auto t = PopOne(stream);
       if (!t.has_value()) break;
       consume(*t);
     } else {
@@ -261,12 +266,12 @@ TEST(Stream, ConcurrentProducerConsumer) {
   constexpr int kCount = 10'000;
   std::thread producer([&] {
     for (int i = 0; i < kCount; ++i) {
-      ASSERT_TRUE(stream.Push(TupleAt(i)).ok());
+      ASSERT_TRUE(PushOne(stream, TupleAt(i)).ok());
     }
     stream.Close();
   });
   Timestamp expected = 0;
-  while (auto t = stream.Pop()) {
+  while (auto t = PopOne(stream)) {
     EXPECT_EQ(t->event_time, expected++);
   }
   producer.join();

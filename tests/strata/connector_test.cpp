@@ -20,6 +20,15 @@ spe::Tuple NumberedTuple(int i) {
   return t;
 }
 
+/// Every tuple the source hands over until end of stream, in order.
+std::vector<spe::Tuple> Drain(const spe::BatchSourceFn& source) {
+  std::vector<spe::Tuple> tuples;
+  while (auto batch = source()) {
+    for (spe::Tuple& tuple : *batch) tuples.push_back(std::move(tuple));
+  }
+  return tuples;
+}
+
 class ConnectorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -37,11 +46,9 @@ TEST_F(ConnectorTest, PublishThenSubscribeRoundTrip) {
 
   auto subscriber =
       std::move(ConnectorSubscriber::Create(&broker_, "conn", "g")).value();
-  auto source = subscriber->AsSourceFn();
-
   std::set<int> seen;
-  while (auto tuple = source()) {
-    seen.insert(static_cast<int>(tuple->payload.Get("i").AsInt()));
+  for (const spe::Tuple& tuple : Drain(subscriber->AsBatchSourceFn())) {
+    seen.insert(static_cast<int>(tuple.payload.Get("i").AsInt()));
   }
   EXPECT_EQ(seen.size(), 10u);  // all delivered, then EOS ended the stream
 }
@@ -61,14 +68,13 @@ TEST_F(ConnectorTest, PerKeyOrderPreserved) {
 
   auto subscriber =
       std::move(ConnectorSubscriber::Create(&broker_, "conn", "g")).value();
-  auto source = subscriber->AsSourceFn();
   std::map<std::int64_t, int> last;
-  while (auto tuple = source()) {
-    const int i = static_cast<int>(tuple->payload.Get("i").AsInt());
-    if (last.contains(tuple->job)) {
-      EXPECT_GT(i, last[tuple->job]);
+  for (const spe::Tuple& tuple : Drain(subscriber->AsBatchSourceFn())) {
+    const int i = static_cast<int>(tuple.payload.Get("i").AsInt());
+    if (last.contains(tuple.job)) {
+      EXPECT_GT(i, last[tuple.job]);
     }
-    last[tuple->job] = i;
+    last[tuple.job] = i;
   }
   EXPECT_EQ(last.size(), 2u);
 }
@@ -76,7 +82,7 @@ TEST_F(ConnectorTest, PerKeyOrderPreserved) {
 TEST_F(ConnectorTest, StopEndsStreamWithoutEos) {
   auto subscriber =
       std::move(ConnectorSubscriber::Create(&broker_, "conn", "g")).value();
-  auto source = subscriber->AsSourceFn();
+  auto source = subscriber->AsBatchSourceFn();
   std::thread stopper([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     subscriber->Stop();
@@ -88,17 +94,18 @@ TEST_F(ConnectorTest, StopEndsStreamWithoutEos) {
 TEST_F(ConnectorTest, SubscriberBlocksUntilDataArrives) {
   auto subscriber =
       std::move(ConnectorSubscriber::Create(&broker_, "conn", "g")).value();
-  auto source = subscriber->AsSourceFn();
+  auto source = subscriber->AsBatchSourceFn();
 
   ConnectorPublisher publisher(&broker_, "conn", nullptr);
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     publisher.AsSinkFn()(NumberedTuple(7));
   });
-  auto tuple = source();
+  auto batch = source();
   producer.join();
-  ASSERT_TRUE(tuple.has_value());
-  EXPECT_EQ(tuple->payload.Get("i").AsInt(), 7);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->size(), 1u);
+  EXPECT_EQ(batch->front().payload.Get("i").AsInt(), 7);
   subscriber->Stop();
 }
 
@@ -112,12 +119,15 @@ TEST_F(ConnectorTest, ImageTuplesCrossTheConnector) {
 
   auto subscriber =
       std::move(ConnectorSubscriber::Create(&broker_, "conn", "g")).value();
-  auto source = subscriber->AsSourceFn();
+  auto source = subscriber->AsBatchSourceFn();
   auto received = source();
   ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(
-      received->payload.Get("ot_image").AsOpaque<am::ImageValue>()->image(),
-      image);
+  ASSERT_EQ(received->size(), 1u);
+  EXPECT_EQ(received->front()
+                .payload.Get("ot_image")
+                .AsOpaque<am::ImageValue>()
+                ->image(),
+            image);
   EXPECT_FALSE(source().has_value());
 }
 
@@ -130,10 +140,7 @@ TEST_F(ConnectorTest, TwoGroupsEachSeeAllTuples) {
   for (const char* group : {"g1", "g2"}) {
     auto subscriber =
         std::move(ConnectorSubscriber::Create(&broker_, "conn", group)).value();
-    auto source = subscriber->AsSourceFn();
-    int count = 0;
-    while (source().has_value()) ++count;
-    EXPECT_EQ(count, 5) << group;
+    EXPECT_EQ(Drain(subscriber->AsBatchSourceFn()).size(), 5u) << group;
   }
 }
 
@@ -145,15 +152,15 @@ class TaggedConnectorTest : public ::testing::Test {
     ASSERT_TRUE(broker_.CreateTopic("tagged", {.partitions = 1}).ok());
   }
 
-  /// Decode record `offset` of tagged/0 with its transport tag.
-  void ReadTagged(std::int64_t offset, TransportTag* tag, spe::Tuple* tuple) {
+  /// Decode record `offset` of tagged/0 with its sequence tag.
+  void ReadTagged(std::int64_t offset, std::uint64_t* seq, spe::Tuple* tuple) {
     auto log = broker_.GetLog("tagged", 0);
     ASSERT_TRUE(log.ok());
     std::vector<ps::Record> records;
     std::int64_t next = 0;
     ASSERT_TRUE((*log)->ReadFrom(offset, 1, &records, &next).ok());
     ASSERT_EQ(records.size(), 1u);
-    auto decoded = DecodeTaggedTuple(records[0].value, tag);
+    auto decoded = DecodeTaggedTuple(records[0].value, seq);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     *tuple = std::move(*decoded);
   }
@@ -168,6 +175,12 @@ TEST_F(TaggedConnectorTest, RestoredPublisherResumesSequenceNumbers) {
   for (int i = 0; i < 5; ++i) sink(NumberedTuple(i));
   std::string blob;
   ASSERT_TRUE(first.AsSnapshotFn()(/*epoch=*/1, &blob).ok());
+  // The snapshot is the sequence counter alone.
+  std::string_view view = blob;
+  std::uint64_t snapshot_seq = 0;
+  ASSERT_TRUE(codec::GetVarint64(&view, &snapshot_seq));
+  EXPECT_EQ(snapshot_seq, 5u);
+  EXPECT_TRUE(view.empty());
 
   // A recovered publisher picks the counter up where the snapshot left it.
   ConnectorPublisher second(&broker_, "tagged", nullptr);
@@ -177,11 +190,10 @@ TEST_F(TaggedConnectorTest, RestoredPublisherResumesSequenceNumbers) {
   for (int i = 5; i < 8; ++i) sink2(NumberedTuple(i));
 
   for (std::int64_t offset = 0; offset < 8; ++offset) {
-    TransportTag tag;
+    std::uint64_t seq = 0;
     spe::Tuple tuple;
-    ReadTagged(offset, &tag, &tuple);
-    EXPECT_EQ(tag.seq, static_cast<std::uint64_t>(offset + 1));
-    EXPECT_EQ(tag.epoch, offset < 5 ? 0u : 1u);
+    ReadTagged(offset, &seq, &tuple);
+    EXPECT_EQ(seq, static_cast<std::uint64_t>(offset + 1));
     EXPECT_EQ(tuple.payload.Get("i").AsInt(), offset);
   }
   EXPECT_FALSE(second.AsRestoreFn()("garbage").ok());
@@ -207,10 +219,9 @@ TEST_F(TaggedConnectorTest, SubscriberDropsReplayedDuplicates) {
 
   auto subscriber =
       std::move(ConnectorSubscriber::Create(&broker_, "tagged", "g")).value();
-  auto source = subscriber->AsSourceFn();
   std::vector<int> seen;
-  while (auto tuple = source()) {
-    seen.push_back(static_cast<int>(tuple->payload.Get("i").AsInt()));
+  for (const spe::Tuple& tuple : Drain(subscriber->AsBatchSourceFn())) {
+    seen.push_back(static_cast<int>(tuple.payload.Get("i").AsInt()));
   }
   // 15 data records in the log, but each sequence number delivered once.
   ASSERT_EQ(seen.size(), 10u);
@@ -222,29 +233,39 @@ TEST_F(TaggedConnectorTest, SubscriberSnapshotRestoreResumesReplayCursor) {
   ConnectorPublisher publisher(&broker_, "tagged", nullptr);
   publisher.EnableTagging();
   auto sink = publisher.AsSinkFn();
-  for (int i = 0; i < 10; ++i) sink(NumberedTuple(i));
-  publisher.AsFinishHook()();
+  for (int i = 0; i < 6; ++i) sink(NumberedTuple(i));
 
+  // The source operator snapshots between calls, so the cursor has poll
+  // granularity: take the delivered batches, then snapshot.
   auto first =
       std::move(ConnectorSubscriber::Create(&broker_, "tagged", "ga")).value();
-  auto source = first->AsSourceFn();
+  auto source = first->AsBatchSourceFn();
+  std::vector<int> delivered;
+  while (delivered.size() < 6) {
+    auto batch = source();
+    ASSERT_TRUE(batch.has_value());
+    for (const spe::Tuple& tuple : *batch) {
+      delivered.push_back(static_cast<int>(tuple.payload.Get("i").AsInt()));
+    }
+  }
+  ASSERT_EQ(delivered.size(), 6u);
   for (int i = 0; i < 6; ++i) {
-    auto tuple = source();
-    ASSERT_TRUE(tuple.has_value());
-    EXPECT_EQ(tuple->payload.Get("i").AsInt(), i);
+    EXPECT_EQ(delivered[static_cast<std::size_t>(i)], i);
   }
   std::string blob;
   ASSERT_TRUE(first->AsSnapshotFn()(1, &blob).ok());
+  for (int i = 6; i < 10; ++i) sink(NumberedTuple(i));
+  publisher.AsFinishHook()();
 
   // A fresh subscriber restored from the snapshot resumes at the first
-  // undelivered record — not at the group's committed offset, not at zero.
+  // record after the delivered batches — not at the group's committed
+  // offset, not at zero.
   auto second =
       std::move(ConnectorSubscriber::Create(&broker_, "tagged", "gb")).value();
   ASSERT_TRUE(second->AsRestoreFn()(blob).ok());
-  auto resumed = second->AsSourceFn();
   std::vector<int> rest;
-  while (auto tuple = resumed()) {
-    rest.push_back(static_cast<int>(tuple->payload.Get("i").AsInt()));
+  for (const spe::Tuple& tuple : Drain(second->AsBatchSourceFn())) {
+    rest.push_back(static_cast<int>(tuple.payload.Get("i").AsInt()));
   }
   ASSERT_EQ(rest.size(), 4u);
   for (int i = 0; i < 4; ++i) {
@@ -272,10 +293,9 @@ TEST_F(TaggedConnectorTest, RestoreWithoutPartitionsStartsAtTheLogStart) {
   std::string blob;
   codec::PutVarint64(&blob, 0);  // no partitions
   ASSERT_TRUE(subscriber->AsRestoreFn()(blob).ok());
-  auto source = subscriber->AsSourceFn();
   std::vector<int> seen;
-  while (auto tuple = source()) {
-    seen.push_back(static_cast<int>(tuple->payload.Get("i").AsInt()));
+  for (const spe::Tuple& tuple : Drain(subscriber->AsBatchSourceFn())) {
+    seen.push_back(static_cast<int>(tuple.payload.Get("i").AsInt()));
   }
   ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
@@ -336,9 +356,9 @@ TEST_F(TaggedConnectorTest, RestoreToTruncatedOffsetSurfacesOutOfRange) {
       std::move(ConnectorSubscriber::Create(&broker_, "trunc", "ga")).value();
   std::string blob;
   {
-    auto source = first->AsSourceFn();
-    auto tuple = source();
-    ASSERT_TRUE(tuple.has_value());
+    auto source = first->AsBatchSourceFn();
+    auto batch = source();
+    ASSERT_TRUE(batch.has_value());
     ASSERT_TRUE(first->AsSnapshotFn()(1, &blob).ok());
     first->Stop();
   }

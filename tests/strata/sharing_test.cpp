@@ -77,11 +77,13 @@ TEST(PipelineSharing, SecondConsumerGroupReplaysRawTopic) {
                                   &strata_rt.broker(), "raw.ot.replayable",
                                   "late-expert"))
                         .value();
-  auto source = subscriber->AsSourceFn();
+  auto source = subscriber->AsBatchSourceFn();
   int replayed = 0;
-  while (auto tuple = source()) {
-    EXPECT_TRUE(tuple->payload.Has(kOtImageKey));
-    ++replayed;
+  while (auto batch = source()) {
+    for (const spe::Tuple& tuple : *batch) {
+      EXPECT_TRUE(tuple.payload.Has(kOtImageKey));
+      ++replayed;
+    }
   }
   EXPECT_EQ(replayed, 6);
 }

@@ -175,48 +175,44 @@ TEST(TupleTransport, RandomMutationsAreRejected) {
   }
 }
 
-// ----- (epoch, seq) tagging: the effectively-once wire format -----
+// ----- seq tagging: the effectively-once wire format -----
 
-TEST(TaggedTransport, TaggedRoundTripCarriesEpochAndSeq) {
+TEST(TaggedTransport, TaggedRoundTripCarriesSeq) {
   const spe::Tuple original = FullTuple();
   std::string encoded;
-  ASSERT_TRUE(
-      EncodeTaggedTuple(TransportTag{3, 17}, original, &encoded).ok());
+  ASSERT_TRUE(EncodeTaggedTuple(17, original, &encoded).ok());
 
-  TransportTag tag;
-  auto decoded = DecodeTaggedTuple(encoded, &tag);
+  std::uint64_t seq = 0;
+  auto decoded = DecodeTaggedTuple(encoded, &seq);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(tag.epoch, 3u);
-  EXPECT_EQ(tag.seq, 17u);
+  EXPECT_EQ(seq, 17u);
   EXPECT_EQ(decoded->event_time, original.event_time);
   EXPECT_EQ(decoded->payload, original.payload);
 }
 
 TEST(TaggedTransport, UntaggedRecordsDecodeWithZeroTag) {
-  // A publisher that is not tagging writes the (0, 0) tag; the record
-  // layout is the same, so one parse reads both.
+  // A publisher that is not tagging writes seq 0; the record layout is the
+  // same, so one parse reads both.
   std::string encoded;
-  ASSERT_TRUE(EncodeTaggedTuple(TransportTag{}, FullTuple(), &encoded).ok());
-  TransportTag tag{99, 99};
-  auto decoded = DecodeTaggedTuple(encoded, &tag);
+  ASSERT_TRUE(EncodeTaggedTuple(0, FullTuple(), &encoded).ok());
+  std::uint64_t seq = 99;
+  auto decoded = DecodeTaggedTuple(encoded, &seq);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(tag.epoch, 0u) << "untagged record must zero the tag";
-  EXPECT_EQ(tag.seq, 0u);
+  EXPECT_EQ(seq, 0u) << "untagged record must zero the tag";
   EXPECT_EQ(decoded->payload, FullTuple().payload);
 }
 
 TEST(TaggedTransport, AnySingleBitFlipIsRejected) {
   std::string encoded;
-  ASSERT_TRUE(
-      EncodeTaggedTuple(TransportTag{7, 123456}, FullTuple(), &encoded).ok());
+  ASSERT_TRUE(EncodeTaggedTuple(123456, FullTuple(), &encoded).ok());
   for (std::size_t byte = 0; byte < encoded.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string mutated = encoded;
       mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      TransportTag tag;
-      // Either rejected outright, or (a flip in the tag varints) decoded
+      std::uint64_t seq = 0;
+      // Either rejected outright, or (a flip in the tag varint) decoded
       // with a different tag — but never a silently different tuple.
-      auto decoded = DecodeTaggedTuple(mutated, &tag);
+      auto decoded = DecodeTaggedTuple(mutated, &seq);
       if (decoded.ok()) {
         EXPECT_EQ(decoded->payload, FullTuple().payload)
             << "bit " << bit << " of byte " << byte << " corrupted the tuple";
