@@ -21,7 +21,6 @@
 // per-stage latency breakdown appended to the bench artifact.
 #include <cmath>
 #include <cstring>
-#include <thread>
 
 #include "bench_json.hpp"
 #include "figure_common.hpp"
@@ -133,17 +132,15 @@ void PrintStageMetrics(const obs::MetricsSnapshot& snap) {
 
 SweepPoint RunReplayTrial(const FrameCache& cache, int cell_px, double rate,
                           int images,
-                          std::int64_t checkpoint_interval_ms = 0,
-                          bool fusion = false, int parallelism = 2) {
+                          std::int64_t checkpoint_interval_ms = 0) {
   StrataOptions options;
   options.checkpoint_interval_ms = checkpoint_interval_ms;
-  options.query.enable_fusion = fusion;
   Strata strata_rt(options);
   UseCaseParams params;
   params.cell_px = cell_px;
   params.correlate_layers = 20;
-  params.partition_parallelism = parallelism;
-  params.detect_parallelism = parallelism;
+  params.partition_parallelism = 2;
+  params.detect_parallelism = 2;
   ComputeAndStoreThresholds(&strata_rt, params.machine_id, cache.job,
                             /*history_layers=*/2, cell_px)
       .OrDie();
@@ -264,111 +261,6 @@ void RunCheckpointOverhead(const FrameCache& cache, int image_px,
                      static_cast<long long>(on.epochs_failed)));
 }
 
-/// Fused vs unfused at saturation: the unthrottled replay at the 10x10
-/// paper cell (the cell-bound regime), both runs at parallelism 1 so the
-/// spec -> cell -> label stages form one fusable stateless chain. The
-/// fused row should saturate higher: three queue hops collapse into one
-/// in-loop chain.
-void RunFusionComparison(const FrameCache& cache, int image_px,
-                         JsonLinesWriter* out) {
-  const int cell_px = std::max(1, 10 * image_px / 2000);
-  const int images = 128;
-  std::printf(
-      "--- operator fusion (cell 10x10, unthrottled, parallelism 1) ---\n");
-  SweepPoint points[2];
-  for (int fusion = 0; fusion < 2; ++fusion) {
-    points[fusion] =
-        RunReplayTrial(cache, cell_px, /*rate=*/0, images,
-                       /*checkpoint_interval_ms=*/0, fusion == 1,
-                       /*parallelism=*/1);
-    std::printf("    fusion=%d: %.1f img/s, %.1f kcells/s, p95 %.2f ms\n",
-                fusion, points[fusion].achieved_images_s,
-                points[fusion].kcells_s, points[fusion].p95_latency_ms);
-    out->Line(JsonObject()
-                  .Str("bench", "bench_fig7_throughput")
-                  .Str("kind", "fused")
-                  .Int("paper_cell", 10)
-                  .Int("image_px", image_px)
-                  .Int("fusion", fusion)
-                  .Num("achieved_images_s", points[fusion].achieved_images_s)
-                  .Num("kcells_s", points[fusion].kcells_s)
-                  .Num("p95_latency_ms", points[fusion].p95_latency_ms));
-  }
-  if (points[0].kcells_s > 0) {
-    std::printf("    fusion speedup: %.2fx\n",
-                points[1].kcells_s / points[0].kcells_s);
-  }
-}
-
-/// Keyed-shard scaling on a synthetic CPU-heavy keyed aggregate (the fig7
-/// pipeline is cell-bound, not aggregate-bound, so this isolates the
-/// router/shard/union path): one source, a keyed aggregate whose add()
-/// burns a few microseconds per tuple, shards 1/2/4. The speedup column
-/// tracks available cores — on a single-core runner it stays ~1.0x by
-/// construction, so the row records hardware_concurrency alongside.
-void RunKeyedShardScaling(JsonLinesWriter* out) {
-  constexpr std::int64_t kTuples = 40'000;
-  constexpr std::int64_t kKeys = 16;
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  std::printf(
-      "--- keyed shard scaling (CPU-heavy keyed aggregate, %u cores) ---\n",
-      cores);
-  double base_ktuples_s = 0;
-  for (const int shards : {1, 2, 4}) {
-    spe::Query query;
-    auto pos = std::make_shared<std::int64_t>(0);
-    auto src = query.AddSource(
-        "gen", [pos]() -> std::optional<spe::Tuple> {
-          if (*pos >= kTuples) return std::nullopt;
-          spe::Tuple t;
-          t.event_time = *pos + 1;
-          t.stimulus = *pos + 1;
-          t.job = *pos % kKeys;
-          ++*pos;
-          return t;
-        });
-    spe::AggregateSpec spec;
-    spec.window = {kTuples + 1, kTuples + 1};  // one window: state stays hot
-    spec.key = [](const spe::Tuple& t) { return std::to_string(t.job); };
-    spec.init = [] { return std::any(std::uint64_t{0}); };
-    spec.add = [](std::any& acc, const spe::Tuple& t) {
-      std::uint64_t x = static_cast<std::uint64_t>(t.event_time);
-      for (int i = 0; i < 2000; ++i) {
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      }
-      std::any_cast<std::uint64_t&>(acc) += x;
-    };
-    spec.result = [](std::any& acc, Timestamp /*start*/,
-                     Timestamp /*end*/) -> std::vector<spe::Tuple> {
-      spe::Tuple t;
-      t.payload.Set("digest",
-                    static_cast<std::int64_t>(
-                        std::any_cast<std::uint64_t>(acc) >> 1));
-      return {t};
-    };
-    auto heavy =
-        query.AddAggregate("heavy", std::move(src), std::move(spec), shards);
-    query.AddSink("sink", std::move(heavy), [](const spe::Tuple&) {});
-    const Timestamp start = Clock::System().Now();
-    query.Run();
-    const double wall = MicrosToSeconds(Clock::System().Now() - start);
-    const double ktuples_s = kTuples / wall / 1000.0;
-    if (shards == 1) base_ktuples_s = ktuples_s;
-    const double speedup =
-        base_ktuples_s > 0 ? ktuples_s / base_ktuples_s : 1.0;
-    std::printf("    shards=%d: %8.0f ktuples/s  (%.2fx)\n", shards,
-                ktuples_s, speedup);
-    out->Line(JsonObject()
-                  .Str("bench", "bench_fig7_throughput")
-                  .Str("kind", "keyed_shards")
-                  .Int("shards", shards)
-                  .Int("cores", static_cast<long long>(cores))
-                  .Num("ktuples_s", ktuples_s)
-                  .Num("speedup", speedup));
-  }
-}
-
 /// One trial with sampling at 1/16: exports the spans as a Chrome trace for
 /// Perfetto and appends the per-stage latency breakdown to the artifact.
 /// Runs after the sweep so tracing overhead never touches the headline
@@ -474,8 +366,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  RunFusionComparison(cache, image_px, &out);
-  RunKeyedShardScaling(&out);
   RunCheckpointOverhead(cache, image_px, &out);
 
   if (trace_out != nullptr) RunTracedTrial(cache, image_px, trace_out, &out);

@@ -74,7 +74,7 @@ Status Operator::RestoreState(std::string_view blob) {
 
 obs::SpanScope Operator::BatchSpan(const char* category,
                                    const TupleBatch& batch) const {
-  if (!obs::TracingEnabled()) return {};
+  if (category == nullptr || !obs::TracingEnabled()) return {};
   for (const Tuple& tuple : batch) {
     if (tuple.trace.sampled()) {
       return obs::SpanScope(name_.c_str(), category, tuple.trace,
@@ -160,31 +160,44 @@ void SourceOperator::MaybeInjectBarrier() {
   }
 }
 
-// ----------------------------------------------------------------- FlatMap
+// --------------------------------------------------------------- Stateless
 
-void FlatMapOperator::Run() {
-  RunSingleInput("spe.flatmap", [this](Tuple& tuple,
-                                       const obs::SpanScope& span) {
-    auto results = Guarded([&] { return fn_(tuple); });
-    if (!results.has_value()) return;  // user error: drop this tuple
-    for (Tuple& out : *results) {
-      if (out.stimulus == 0) out.stimulus = tuple.stimulus;
-      if (span.active()) out.trace = span.EmitContext();
-      if (!Emit(std::move(out))) return;
+void StatelessOperator::Run() {
+  TupleBatch out;
+  RunSingleInput(category_, [&](Tuple& tuple, const obs::SpanScope& span) {
+    Step(tuple, span, &out);
+    for (Tuple& result : out) {
+      if (!Emit(std::move(result))) break;
     }
+    out.clear();
   });
 }
 
-// ------------------------------------------------------------------ Filter
+void StatelessOperator::Apply(TupleBatch* in, TupleBatch* out) {
+  CountIn(in->size());
+  const std::size_t before = out->size();
+  const obs::SpanScope span = BatchSpan(category_, *in);
+  for (Tuple& tuple : *in) Step(tuple, span, out);
+  CountOut(out->size() - before);
+}
 
-void FilterOperator::Run() {
-  RunSingleInput("spe.filter", [this](Tuple& tuple,
-                                      const obs::SpanScope& span) {
-    const auto keep = Guarded([&] { return fn_(tuple); });
-    if (!keep.value_or(false)) return;
-    if (span.active()) tuple.trace = span.EmitContext();
-    (void)Emit(std::move(tuple));
-  });
+void FlatMapOperator::Step(Tuple& tuple, const obs::SpanScope& span,
+                           TupleBatch* out) {
+  auto results = Guarded([&] { return fn_(tuple); });
+  if (!results.has_value()) return;  // user error: drop this tuple
+  for (Tuple& result : *results) {
+    if (result.stimulus == 0) result.stimulus = tuple.stimulus;
+    if (span.active()) result.trace = span.EmitContext();
+    out->push_back(std::move(result));
+  }
+}
+
+void FilterOperator::Step(Tuple& tuple, const obs::SpanScope& span,
+                          TupleBatch* out) {
+  const auto keep = Guarded([&] { return fn_(tuple); });
+  if (!keep.value_or(false)) return;
+  if (span.active()) tuple.trace = span.EmitContext();
+  out->push_back(std::move(tuple));
 }
 
 // ------------------------------------------------------------------ Router

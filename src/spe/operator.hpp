@@ -148,28 +148,9 @@ class Operator {
     return s;
   }
 
-  /// Fold externally-executed work into this operator's counters. Used by
-  /// the fusion pass: a fused worker runs an absorbed operator's function
-  /// and attributes the per-stage counts here, so Stats()/metrics keep
-  /// per-stage identity even though the operator's own thread never runs.
-  void AccumulateStageCounts(std::uint64_t in, std::uint64_t out,
-                             std::uint64_t errors, std::uint64_t discarded) {
-    if (in != 0) in_count_.fetch_add(in, std::memory_order_relaxed);
-    if (out != 0) out_count_.fetch_add(out, std::memory_order_relaxed);
-    if (errors != 0) user_errors_.fetch_add(errors, std::memory_order_relaxed);
-    if (discarded != 0) {
-      discarded_.fetch_add(discarded, std::memory_order_relaxed);
-    }
-  }
-
  protected:
   [[nodiscard]] bool StopRequested() const {
     return stop_requested_.load(std::memory_order_acquire);
-  }
-
-  /// stats().discarded, without copying the name strings.
-  [[nodiscard]] std::uint64_t discarded() const noexcept {
-    return discarded_.load(std::memory_order_relaxed);
   }
 
   /// Buffered push to every output: copies for all but the last open output,
@@ -281,15 +262,13 @@ class Operator {
 
   /// Single-input driver, the consume loop of every one-input operator:
   /// drains batches of up to batch_size, opens one span per batch (category
-  /// `category`), completes barriers in line, and calls `step(tuple, span)`
-  /// for every data tuple. It leaves early once every output has closed
-  /// (closing the inputs so blocked producers wake up); otherwise, after the
-  /// input drains, it runs `at_end()`. `after_batch()` runs after every
-  /// drained batch. Outputs are flushed and closed last (close-then-drain).
-  template <typename Step, typename AtEnd = NoStep,
-            typename AfterBatch = NoStep>
-  void RunSingleInput(const char* category, Step step, AtEnd at_end = {},
-                      AfterBatch after_batch = {});
+  /// `category`; none when null), completes barriers in line, and calls
+  /// `step(tuple, span)` for every data tuple. It leaves early once every
+  /// output has closed (closing the inputs so blocked producers wake up);
+  /// otherwise, after the input drains, it runs `at_end()`. Outputs are
+  /// flushed and closed last (close-then-drain).
+  template <typename Step, typename AtEnd = NoStep>
+  void RunSingleInput(const char* category, Step step, AtEnd at_end = {});
 
   /// Aligned multi-input driver: polls every input in turn and calls
   /// `step(input, tuple, span)` for every data tuple. An input that delivers
@@ -309,6 +288,9 @@ class Operator {
   void CountIn(std::size_t n) {
     in_count_.fetch_add(n, std::memory_order_relaxed);
   }
+  void CountOut(std::size_t n) {
+    out_count_.fetch_add(n, std::memory_order_relaxed);
+  }
   void CountLateDrop() { late_drops_.fetch_add(1, std::memory_order_relaxed); }
   void CountUserError() {
     user_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -316,6 +298,14 @@ class Operator {
   void CountDiscarded(std::size_t n) {
     discarded_.fetch_add(n, std::memory_order_relaxed);
   }
+
+  /// Span covering `batch` (a drained batch, or what a fused stage is
+  /// handed): active iff tracing is on, `category` is set and the batch
+  /// carries a sampled tuple (the batch's trace is its first sampled tuple's
+  /// context — see tuple.hpp). While live, the thread's trace slot points at
+  /// it, so kv calls and log lines inside a step attach to this trace.
+  [[nodiscard]] obs::SpanScope BatchSpan(const char* category,
+                                         const TupleBatch& batch) const;
 
   /// Invoke a user function; on exception, log + count and return nullopt
   /// (the offending tuple is dropped, the operator keeps running).
@@ -345,20 +335,14 @@ class Operator {
   /// Poll interval of RunAligned while no input has data.
   static constexpr auto kPollInterval = std::chrono::microseconds(1000);
 
-  /// Span covering one drained batch: active iff tracing is on and the batch
-  /// carries a sampled tuple (the batch's trace is its first sampled tuple's
-  /// context — see tuple.hpp). While live, the thread's trace slot points at
-  /// it, so kv calls and log lines inside a step attach to this trace.
-  [[nodiscard]] obs::SpanScope BatchSpan(const char* category,
-                                         const TupleBatch& batch) const;
-
   void LogUserError(const char* what);
   /// CompleteBarrier's report step. The default reports this operator; a
-  /// fused worker overrides it to report each absorbed constituent.
+  /// fused worker, which the checkpointer never registers, overrides it to
+  /// report each stage of its chain under the stage's own name.
   virtual void ReportSnapshots(std::uint64_t epoch);
   /// Called exactly once from CloseOutputs as the Run() body exits. The
   /// default reports this operator finished to the checkpointer; a fused
-  /// worker overrides it to report its absorbed constituents instead.
+  /// worker overrides it to report each stage of its chain instead.
   virtual void NotifyFinished();
 
   void EnsureEmitState() {
@@ -496,9 +480,8 @@ class BarrierAligner {
 
 // ----------------------------------------------------------- loop drivers
 
-template <typename Step, typename AtEnd, typename AfterBatch>
-void Operator::RunSingleInput(const char* category, Step step, AtEnd at_end,
-                              AfterBatch after_batch) {
+template <typename Step, typename AtEnd>
+void Operator::RunSingleInput(const char* category, Step step, AtEnd at_end) {
   Stream& input = *inputs_[0];
   bool open = true;
   while (open) {
@@ -517,7 +500,6 @@ void Operator::RunSingleInput(const char* category, Step step, AtEnd at_end,
         break;
       }
     }
-    after_batch();
     if (open && emit_ready_) MaybeFlush(input.depth() == 0);
   }
   if (open) {
@@ -642,36 +624,65 @@ class SourceOperator final : public Operator {
   std::uint64_t last_injected_epoch_ = 0;
 };
 
-class FlatMapOperator final : public Operator {
+/// FlatMap and Filter: a user function applied tuple by tuple, no state.
+/// Step is the one implementation of the stage: a lone stage runs it in its
+/// own loop, and a fused worker (plan_rewrite.hpp) runs it through Apply
+/// when the stage sits in a chain.
+class StatelessOperator : public Operator {
+ public:
+  void Run() final;
+
+  /// Runs the stage over `in`, data tuples that a fused chain passes down,
+  /// and appends its output to *out: one span over `in` under this
+  /// operator's name and category, and the in/out counts on this operator.
+  void Apply(TupleBatch* in, TupleBatch* out);
+
+ protected:
+  StatelessOperator(std::string name, const Clock* clock,
+                    const char* category)
+      : Operator(std::move(name), clock), category_(category) {}
+
+  /// Runs the user function on `tuple` (Guarded: a throw drops the tuple)
+  /// and appends what it passes on to *out, with the input's stimulus
+  /// inherited and, under an active span, the span's trace context.
+  virtual void Step(Tuple& tuple, const obs::SpanScope& span,
+                    TupleBatch* out) = 0;
+
+ private:
+  friend class FusedOperator;  // counts the chain's discards on its tail
+
+  const char* category_;  ///< span category, "spe.<kind>"
+};
+
+class FlatMapOperator final : public StatelessOperator {
  public:
   [[nodiscard]] const char* kind() const noexcept override {
     return "flatmap";
   }
   FlatMapOperator(std::string name, const Clock* clock, FlatMapFn fn)
-      : Operator(std::move(name), clock), fn_(std::move(fn)) {}
-  void Run() override;
-
-  /// The user function, borrowed by the fusion pass (plan_rewrite) so a
-  /// fused worker can run this stage without the operator's thread.
-  [[nodiscard]] const FlatMapFn& fn() const noexcept { return fn_; }
+      : StatelessOperator(std::move(name), clock, "spe.flatmap"),
+        fn_(std::move(fn)) {}
 
  private:
+  void Step(Tuple& tuple, const obs::SpanScope& span,
+            TupleBatch* out) override;
+
   FlatMapFn fn_;
 };
 
-class FilterOperator final : public Operator {
+class FilterOperator final : public StatelessOperator {
  public:
   [[nodiscard]] const char* kind() const noexcept override {
     return "filter";
   }
   FilterOperator(std::string name, const Clock* clock, FilterFn fn)
-      : Operator(std::move(name), clock), fn_(std::move(fn)) {}
-  void Run() override;
-
-  /// The user predicate, borrowed by the fusion pass (see FlatMapOperator).
-  [[nodiscard]] const FilterFn& fn() const noexcept { return fn_; }
+      : StatelessOperator(std::move(name), clock, "spe.filter"),
+        fn_(std::move(fn)) {}
 
  private:
+  void Step(Tuple& tuple, const obs::SpanScope& span,
+            TupleBatch* out) override;
+
   FilterFn fn_;
 };
 

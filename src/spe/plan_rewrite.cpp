@@ -7,107 +7,47 @@
 #include <utility>
 
 #include "spe/codec.hpp"
-#include "common/logging.hpp"
 #include "obs/trace.hpp"
 #include "spe/checkpoint.hpp"
 
 namespace strata::spe {
 
-namespace {
-
-/// Per-stage counters accumulated locally while a batch runs the chain and
-/// flushed into the constituent operators' atomics once per drained batch.
-struct StageCounts {
-  std::uint64_t in = 0;
-  std::uint64_t out = 0;
-  std::uint64_t errors = 0;
-};
-
-}  // namespace
-
 // ----------------------------------------------------------- FusedOperator
 
 FusedOperator::FusedOperator(std::string name, const Clock* clock,
-                             std::vector<Stage> stages)
+                             std::vector<StatelessOperator*> stages)
     : Operator(std::move(name), clock), stages_(std::move(stages)) {}
 
 void FusedOperator::Run() {
-  std::vector<StageCounts> counts(stages_.size());
-  std::uint64_t last_discarded = discarded();
-  // Flush the locally-accumulated per-stage counts into the absorbed
-  // operators so Stats()/metrics keep per-stage identity. Output discards
-  // (closed downstream) happen at the chain's Emit, so the delta in this
-  // operator's own counter is attributed to the tail stage.
-  auto flush_counts = [&] {
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-      if (counts[s].in == 0 && counts[s].out == 0 && counts[s].errors == 0) {
-        continue;
-      }
-      stages_[s].op->AccumulateStageCounts(counts[s].in, counts[s].out,
-                                           counts[s].errors, 0);
-      counts[s] = StageCounts{};
-    }
-    const std::uint64_t total = discarded();
-    if (total != last_discarded) {
-      stages_.back().op->AccumulateStageCounts(0, 0, 0, total - last_discarded);
-      last_discarded = total;
-    }
-  };
-
-  // The span is named after the fused operator (the constituent names
-  // joined with '+'), so /tracez shows which logical stages ran.
-  TupleBatch cur;
+  // Each input tuple goes through the whole chain, one stage's Apply at a
+  // time, and the tail's output is emitted before the next tuple is taken
+  // up. The worker opens no span of its own: each Apply traces under its
+  // stage's name.
+  TupleBatch run;
   TupleBatch next;
-  RunSingleInput(
-      "spe.fused",
-      [&](Tuple& tuple, const obs::SpanScope& span) {
-        cur.clear();
-        cur.push_back(std::move(tuple));
-        for (std::size_t s = 0; s < stages_.size() && !cur.empty(); ++s) {
-          const Stage& stage = stages_[s];
-          counts[s].in += cur.size();
-          next.clear();
-          for (Tuple& t : cur) {
-            if (stage.flatmap != nullptr) {
-              try {
-                std::vector<Tuple> results = (*stage.flatmap)(t);
-                for (Tuple& out : results) {
-                  if (out.stimulus == 0) out.stimulus = t.stimulus;
-                  next.push_back(std::move(out));
-                }
-              } catch (const std::exception& e) {
-                ++counts[s].errors;
-                LOG_ERROR << "operator '" << stage.op->name()
-                          << "' (fused): user function threw: " << e.what();
-              }
-            } else {
-              bool keep = false;
-              try {
-                keep = (*stage.filter)(t);
-              } catch (const std::exception& e) {
-                ++counts[s].errors;
-                LOG_ERROR << "operator '" << stage.op->name()
-                          << "' (fused): user function threw: " << e.what();
-              }
-              if (keep) next.push_back(std::move(t));
-            }
-          }
-          counts[s].out += next.size();
-          cur.swap(next);
-        }
-        for (Tuple& out : cur) {
-          if (span.active()) out.trace = span.EmitContext();
-          if (!Emit(std::move(out))) return;
-        }
-      },
-      NoStep{}, flush_counts);
+  RunSingleInput(nullptr, [&](Tuple& tuple, const obs::SpanScope&) {
+    run.push_back(std::move(tuple));
+    for (StatelessOperator* stage : stages_) {
+      if (run.empty()) break;
+      stage->Apply(&run, &next);
+      run.swap(next);
+      next.clear();
+    }
+    for (Tuple& out : run) {
+      if (!Emit(std::move(out))) break;
+    }
+    run.clear();
+  });
+  // Only a closed downstream discards, so the count is final once the
+  // driver is done; the chain's output is its tail's output.
+  stages_.back()->CountDiscarded(stats().discarded);
 }
 
 void FusedOperator::ReportSnapshots(std::uint64_t epoch) {
-  // One snapshot per constituent, under its registered name — a manifest
-  // written by a fused plan restores into an unfused one and vice versa.
-  for (const Stage& stage : stages_) {
-    stage.op->ReportSnapshotTo(checkpointer(), epoch);
+  // One snapshot per constituent, under its registered name, so a manifest
+  // reads the same as one written by the constituents' own threads.
+  for (StatelessOperator* stage : stages_) {
+    stage->ReportSnapshotTo(checkpointer(), epoch);
   }
 }
 
@@ -115,8 +55,8 @@ void FusedOperator::NotifyFinished() {
   // The constituents are what the checkpointer knows about; the fused
   // worker itself is never registered.
   if (Checkpointer* cp = checkpointer(); cp != nullptr) {
-    for (const Stage& stage : stages_) {
-      cp->OnOperatorFinished(stage.op->name());
+    for (StatelessOperator* stage : stages_) {
+      cp->OnOperatorFinished(stage->name());
     }
   }
 }
@@ -142,25 +82,12 @@ FusionPlan FuseStatelessChains(
 
   // Eligible members: stateless 1-input/1-output operators. (A Split is a
   // FlatMap with N outputs and drops out on the output-count rule.)
-  auto eligible = [](Operator* op) -> FusedOperator::Stage {
-    FusedOperator::Stage stage;
-    if (op->inputs().size() != 1 || op->outputs().size() != 1) return stage;
-    if (auto* fm = dynamic_cast<FlatMapOperator*>(op)) {
-      stage.op = op;
-      stage.flatmap = &fm->fn();
-    } else if (auto* f = dynamic_cast<FilterOperator*>(op)) {
-      stage.op = op;
-      stage.filter = &f->fn();
-    }
-    return stage;
-  };
-
-  std::unordered_map<Operator*, FusedOperator::Stage> members;
+  std::unordered_set<Operator*> members;
   std::unordered_map<const Stream*, Operator*> consumer_of;
   for (const auto& op : operators) {
-    FusedOperator::Stage stage = eligible(op.get());
-    if (stage.op == nullptr) continue;
-    members.emplace(op.get(), stage);
+    if (op->inputs().size() != 1 || op->outputs().size() != 1) continue;
+    if (dynamic_cast<StatelessOperator*>(op.get()) == nullptr) continue;
+    members.insert(op.get());
     consumer_of.emplace(op->inputs()[0].get(), op.get());
   }
 
@@ -168,7 +95,7 @@ FusionPlan FuseStatelessChains(
   // private to the pair.
   std::unordered_map<Operator*, Operator*> next;
   std::unordered_set<Operator*> has_prev;
-  for (const auto& [op, stage] : members) {
+  for (Operator* op : members) {
     const Stream* out = op->outputs()[0].get();
     const auto count = endpoint_count[out];
     if (count.first != 1 || count.second != 1) continue;
@@ -185,24 +112,23 @@ FusionPlan FuseStatelessChains(
     Operator* head = op.get();
     if (members.find(head) == members.end()) continue;
     if (has_prev.find(head) != has_prev.end()) continue;
-    std::vector<FusedOperator::Stage> stages;
+    std::vector<StatelessOperator*> stages;
     std::string name;
     for (Operator* cur = head; cur != nullptr;) {
-      stages.push_back(members.at(cur));
+      stages.push_back(static_cast<StatelessOperator*>(cur));
       if (!name.empty()) name += '+';
       name += cur->name();
       const auto it = next.find(cur);
       cur = it == next.end() ? nullptr : it->second;
     }
     if (stages.size() < 2) continue;
-    Operator* tail = stages.back().op;
+    Operator* tail = stages.back();
     auto fused = std::make_unique<FusedOperator>(std::move(name), clock,
                                                  std::move(stages));
     fused->AddInput(head->inputs()[0]);
     fused->AddOutput(tail->outputs()[0]);
-    for (const FusedOperator::Stage& stage : fused->stages()) {
-      plan.absorbed.push_back(stage.op);
-    }
+    plan.absorbed.insert(plan.absorbed.end(), fused->stages().begin(),
+                         fused->stages().end());
     plan.fused.push_back(std::move(fused));
   }
   return plan;

@@ -2,17 +2,20 @@
 // work (Kiselyov et al., "Complete Stream Fusion for Software-Defined
 // Radio" / "Highest-performance Stream Processing").
 //
-// Operator fusion (QueryOptions::enable_fusion, applied by Query::Start;
-// builder code and operator semantics are untouched): maximal chains of
-// adjacent stateless operators (FlatMap/Filter, each 1-input/1-output,
-// linked by a stream with exactly one registered producer and one
-// registered consumer) collapse into a single FusedOperator whose per-tuple
-// step runs the whole chain — the interior streams are never touched, so a
-// fused chain costs zero intermediate queue synchronizations.
-// The absorbed operators never run; the fused worker executes their
-// functions in order and attributes per-stage counts (tuples in/out, user
-// errors, discards) back to them, so spe.operator.* metrics and
-// OperatorStats keep per-stage identity.
+// Operator fusion (applied by every Query::Start; builder code and
+// operator semantics are untouched): maximal chains of adjacent stateless
+// operators (FlatMap/Filter, each 1-input/1-output, linked by a stream with
+// exactly one registered producer and one registered consumer) collapse
+// into a single FusedOperator, one thread per chain. The interior streams
+// are never touched, so a fused chain costs zero intermediate queue
+// synchronizations. The absorbed operators never get a thread of their
+// own: the fused worker passes each input tuple down the chain, calling
+// each stage's own StatelessOperator::Apply on what the stage before it
+// produced, and emits the tail's output before it takes the next. Every
+// stage keeps its identity: its counts (tuples in/out, user errors; the
+// tail also the chain's discards, credited when the worker finishes) land
+// in its own counters, its user errors are logged under its name, and its
+// spans carry its name and category.
 //
 // Shard re-hashing: Query::AddAggregate / Query::AddJoin with parallelism
 // > 1 build a keyed-parallel stage (hash router, `parallelism` instances,
@@ -35,27 +38,19 @@
 
 namespace strata::spe {
 
-/// A single fused worker executing a chain of stateless stages per tuple.
-/// Borrows the absorbed operators (owned by the Query): their user
-/// functions drive the stages and their counters receive the per-stage
-/// attribution. Created by FuseStatelessChains; never built directly.
+/// A single fused worker running a chain of stateless stages. Borrows the
+/// absorbed operators (owned by the Query, which outlives the worker): each
+/// stage runs through its own Apply. Created by FuseStatelessChains; never
+/// built directly.
 class FusedOperator final : public Operator {
  public:
-  /// One absorbed stage: exactly one of flatmap/filter is set, borrowed
-  /// from `op` (which outlives the fused worker — both live on the Query).
-  struct Stage {
-    Operator* op = nullptr;
-    const FlatMapFn* flatmap = nullptr;
-    const FilterFn* filter = nullptr;
-  };
-
   FusedOperator(std::string name, const Clock* clock,
-                std::vector<Stage> stages);
+                std::vector<StatelessOperator*> stages);
 
   [[nodiscard]] const char* kind() const noexcept override { return "fused"; }
   void Run() override;
 
-  [[nodiscard]] const std::vector<Stage>& stages() const noexcept {
+  [[nodiscard]] const std::vector<StatelessOperator*>& stages() const noexcept {
     return stages_;
   }
 
@@ -66,7 +61,7 @@ class FusedOperator final : public Operator {
   /// The chain finished: every constituent is done for checkpoint purposes.
   void NotifyFinished() override;
 
-  std::vector<Stage> stages_;
+  std::vector<StatelessOperator*> stages_;
 };
 
 /// Result of the fusion pass: the fused workers to run instead of the
@@ -74,7 +69,7 @@ class FusedOperator final : public Operator {
 struct FusionPlan {
   std::vector<std::unique_ptr<FusedOperator>> fused;
   /// Operators absorbed into a fused worker (no thread is spawned for
-  /// them; their counters are updated by the fused worker).
+  /// them; the fused worker runs their steps).
   std::vector<Operator*> absorbed;
 };
 

@@ -366,16 +366,14 @@ void Query::Start() {
   }
   // Plan rewrite: collapse stateless chains into fused workers. Absorbed
   // operators keep their place in operators_ (stats, checkpoint names,
-  // ToDot) but never get a thread; the fused worker runs their functions.
-  std::unordered_set<const Operator*> absorbed;
-  if (options_.enable_fusion) {
-    FusionPlan plan = FuseStatelessChains(operators_, options_.clock);
-    absorbed.insert(plan.absorbed.begin(), plan.absorbed.end());
-    fused_ = std::move(plan.fused);
-    for (auto& op : fused_) {
-      op->ConfigureBatching(policy);
-      if (checkpointer_) op->SetCheckpointer(checkpointer_.get());
-    }
+  // ToDot) but never get a thread; the fused worker runs their steps.
+  FusionPlan plan = FuseStatelessChains(operators_, options_.clock);
+  const std::unordered_set<const Operator*> absorbed(plan.absorbed.begin(),
+                                                     plan.absorbed.end());
+  fused_ = std::move(plan.fused);
+  for (auto& op : fused_) {
+    op->ConfigureBatching(policy);
+    if (checkpointer_) op->SetCheckpointer(checkpointer_.get());
   }
   threads_.reserve(operators_.size() + fused_.size());
   for (auto& op : operators_) {

@@ -40,13 +40,6 @@ struct QueryOptions {
   /// Upper bound (µs, query clock) a tuple may wait in an emit buffer.
   /// Idle-triggered flushes keep latency flat at low rates regardless.
   std::int64_t batch_linger_us = BatchPolicy{}.linger_us;
-  /// Allow Start() to fuse adjacent stateless operators (FlatMap/Filter
-  /// chains on private streams) into single fused workers with no
-  /// intermediate queue (see plan_rewrite.hpp). Off by default: the fused
-  /// plan is output-equivalent but runs a chain per thread instead of an
-  /// operator per thread. Per-operator stats/metrics keep per-stage
-  /// identity either way.
-  bool enable_fusion = false;
 };
 
 class Query {
@@ -209,9 +202,10 @@ class Query {
   /// metrics snapshot callback (which may run on a sampler thread).
   mutable std::mutex build_mu_;
   std::vector<std::unique_ptr<Operator>> operators_;
-  /// Fused workers built by Start()'s rewrite pass. Kept out of operators_:
-  /// they are an execution detail, and stats/metrics/checkpoint registration
-  /// stay in terms of the logical operators they absorbed.
+  /// Fused workers built by Start()'s rewrite pass, one per chain of
+  /// adjacent FlatMap/Filter stages (see plan_rewrite.hpp). Kept out of
+  /// operators_: they are an execution detail, and stats/metrics/checkpoint
+  /// registration stay in terms of the logical operators they absorbed.
   std::vector<std::unique_ptr<FusedOperator>> fused_;
   std::vector<ShardGroup> shard_groups_;
   std::vector<StreamPtr> streams_;

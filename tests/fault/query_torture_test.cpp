@@ -108,9 +108,9 @@ spe::AggregateSpec SeverityCountSpec() {
 ///
 /// Shape: gen -> detect -> enrich (a fusable stateless chain) -> tee;
 /// one branch delivers per-tuple reports, the other runs a keyed
-/// 2-shard severity-count aggregate delivered under "counts/". With
-/// enable_fusion on (ScenarioOptions) this exercises fused barriers and
-/// per-shard snapshot replay under kill -9.
+/// 2-shard severity-count aggregate delivered under "counts/". The fused
+/// detect -> enrich worker forwards barriers, so this exercises fused
+/// barriers and per-shard snapshot replay under kill -9.
 ///
 /// `die_in_detect` makes the life SIGKILL itself inside `detect` on its
 /// first tuple, after a pause in which the generator publishes everything:
@@ -186,9 +186,6 @@ StrataOptions ScenarioOptions(const std::filesystem::path& dir) {
   options.persistent_connectors = true;
   options.connector_partitions = 1;
   options.checkpoint_interval_ms = 50;
-  // Fuse the detect->enrich chain: recovery must also be exact when
-  // barriers are forwarded by fused workers.
-  options.query.enable_fusion = true;
   return options;
 }
 

@@ -146,6 +146,53 @@ TEST(BatchPlane, LingerFlushDeliversWhileRunning) {
   EXPECT_EQ(consumed.load(), produced.load());
 }
 
+// MaybeFlush's linger branch: a FlatMap whose input never goes idle (the
+// source hands over bursts faster than the map drains them) must still
+// flush once its oldest buffered tuple has waited linger_us. The whole run
+// is smaller than the size-flush threshold, and the input stays busy while
+// the source is live, so only a linger flush can reach the sink that early.
+// A lone FlatMap is not a fusable chain: the operator's own loop runs.
+TEST(BatchPlane, LingerFlushDeliversWhileInputBusy) {
+  constexpr int kBursts = 40;
+  constexpr int kBurst = 50;
+  QueryOptions options;
+  options.batch_size = 8192;
+  options.queue_capacity = 1 << 14;  // size flushes at 8192 > 40 * 50
+  options.batch_linger_us = 1'000;
+  Query query(options);
+
+  std::atomic<bool> source_live{true};
+  auto bursts = std::make_shared<int>(0);
+  auto src = query.AddBatchSource(
+      "src", [&source_live, bursts]() -> std::optional<TupleBatch> {
+        if (*bursts == kBursts) {
+          source_live = false;
+          return std::nullopt;
+        }
+        std::this_thread::sleep_for(1ms);
+        TupleBatch batch;
+        for (int i = 0; i < kBurst; ++i) {
+          batch.push_back(MakeTuple(*bursts * kBurst + i));
+        }
+        ++*bursts;
+        return batch;
+      });
+  // Slower per tuple than the source, so its input is never drained.
+  auto mapped = query.AddFlatMap("slow", src, [](const Tuple& t) {
+    std::this_thread::sleep_for(100us);
+    return std::vector<Tuple>{t};
+  });
+  std::atomic<int> while_live{0};
+  std::atomic<int> consumed{0};
+  query.AddSink("sink", mapped, [&](const Tuple&) {
+    if (source_live) ++while_live;
+    ++consumed;
+  });
+  query.Run();
+  EXPECT_GT(while_live.load(), 0);  // flushed while busy, not by size/close
+  EXPECT_EQ(consumed.load(), kBursts * kBurst);
+}
+
 // Back-pressure through PushBatch: a slow sink behind a tiny queue must
 // block the source, and the blocked time must surface on the stream.
 TEST(BatchPlane, BatchedPushAccumulatesBlockedTime) {

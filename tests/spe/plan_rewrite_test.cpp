@@ -1,8 +1,8 @@
-// Plan-rewrite equivalence: fused-vs-unfused stateless chains and
-// keyed-sharded-vs-unsharded stateful stages must produce identical results
-// on seeded inputs, including across checkpoint/restore and restore onto a
-// different shard count (tsan_smoke: routers, fused workers, and shard
-// unions all run concurrently here).
+// Plan-rewrite equivalence: a fused stateless chain must match a serial
+// fold of its stage functions, and keyed-sharded stateful stages their
+// unsharded runs, on seeded inputs, including across checkpoint/restore and
+// restore onto a different shard count (tsan_smoke: routers, fused workers,
+// and shard unions all run concurrently here).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,8 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,99 +44,184 @@ std::int64_t SeededValue(std::int64_t i) {
   return static_cast<std::int64_t>((x ^ (x >> 31)) % 1000);
 }
 
-// ------------------------------------------------- fused-vs-unfused chains
+// -------------------------------------------- fused chain vs serial fold
 
-/// gen -> expand (1-2 tuples) -> keep (drop v%2) -> scale (v*3) -> sink.
-/// The three stateless stages form one fusable chain.
+constexpr std::int64_t kChainTuples = 400;
+
+Tuple ChainInput(std::int64_t i) {
+  Tuple t = testutil::MakeTuple(i);
+  t.stimulus = i + 1;
+  t.payload.Set("v", SeededValue(i));
+  return t;
+}
+
+/// The chain's stages: expand (1-2 tuples; throws when v % 50 == 7) -> keep
+/// (drops odd v) -> scale (v*3). In a query they form one fusable chain;
+/// the serial fold calls the same functions directly.
+std::vector<Tuple> Expand(const Tuple& t) {
+  const std::int64_t v = t.payload.Get("v").AsInt();
+  if (v % 50 == 7) throw std::runtime_error("expand: seeded failure");
+  std::vector<Tuple> out{t};
+  if (v % 3 == 0) {
+    Tuple extra = t;
+    extra.payload.Set("v", v + 1000);
+    out.push_back(std::move(extra));
+  }
+  return out;
+}
+
+bool Keep(const Tuple& t) { return t.payload.Get("v").AsInt() % 2 == 0; }
+
+std::vector<Tuple> Scale(const Tuple& t) {
+  Tuple out = t;
+  out.payload.Set("v", t.payload.Get("v").AsInt() * 3);
+  return {out};
+}
+
+/// gen -> expand -> keep -> scale -> sink.
 void BuildChainPipeline(Query* query, std::int64_t tuples,
                         testutil::Collector* sink) {
   auto position = std::make_shared<std::int64_t>(0);
   auto gen = query->AddSource(
       "gen", [position, tuples]() -> std::optional<Tuple> {
         if (*position >= tuples) return std::nullopt;
-        Tuple t = testutil::MakeTuple(*position);
-        t.stimulus = *position + 1;
-        t.payload.Set("v", SeededValue(*position));
-        ++*position;
-        return t;
+        return ChainInput((*position)++);
       });
-  auto expanded = query->AddFlatMap(
-      "expand", std::move(gen), [](const Tuple& t) {
-        const std::int64_t v = t.payload.Get("v").AsInt();
-        if (v == 777) throw std::runtime_error("expand: seeded failure");
-        std::vector<Tuple> out{t};
-        if (v % 3 == 0) {
-          Tuple extra = t;
-          extra.payload.Set("v", v + 1000);
-          out.push_back(std::move(extra));
-        }
-        return out;
-      });
-  auto kept = query->AddFilter("keep", std::move(expanded), [](const Tuple& t) {
-    return t.payload.Get("v").AsInt() % 2 == 0;
-  });
-  auto scaled = query->AddFlatMap(
-      "scale", std::move(kept), [](const Tuple& t) {
-        Tuple out = t;
-        out.payload.Set("v", t.payload.Get("v").AsInt() * 3);
-        return std::vector<Tuple>{out};
-      });
+  auto expanded = query->AddFlatMap("expand", std::move(gen), Expand);
+  auto kept = query->AddFilter("keep", std::move(expanded), Keep);
+  auto scaled = query->AddFlatMap("scale", std::move(kept), Scale);
   query->AddSink("sink", std::move(scaled), sink->AsSink());
 }
 
-std::vector<std::pair<Timestamp, std::int64_t>> ChainOutput(bool fusion) {
-  QueryOptions options;
-  options.enable_fusion = fusion;
-  Query query(options);
+/// What a chain run delivered, and its per-stage counts by operator name.
+struct ChainRun {
+  std::vector<std::pair<Timestamp, std::int64_t>> output;
+  std::map<std::string, OperatorStats> stats;
+};
+
+ChainRun RunChain(std::int64_t tuples) {
+  Query query;
   testutil::Collector sink;
-  BuildChainPipeline(&query, 400, &sink);
+  BuildChainPipeline(&query, tuples, &sink);
   query.Run();
-  std::vector<std::pair<Timestamp, std::int64_t>> out;
+  ChainRun run;
   for (const Tuple& t : sink.tuples()) {
-    out.emplace_back(t.event_time, t.payload.Get("v").AsInt());
+    run.output.emplace_back(t.event_time, t.payload.Get("v").AsInt());
   }
-  return out;
+  for (const OperatorStats& s : query.Stats()) run.stats[s.name] = s;
+  return run;
+}
+
+/// The reference: each input folded through the stage functions in order
+/// on this thread, a throw dropping the tuple and counting on its stage.
+ChainRun SerialFold(std::int64_t tuples) {
+  const std::vector<std::pair<std::string, FlatMapFn>> stages = {
+      {"expand", Expand},
+      {"keep",
+       [](const Tuple& t) {
+         return Keep(t) ? std::vector<Tuple>{t} : std::vector<Tuple>{};
+       }},
+      {"scale", Scale},
+  };
+  ChainRun run;
+  for (std::int64_t i = 0; i < tuples; ++i) {
+    std::vector<Tuple> cur{ChainInput(i)};
+    for (const auto& [name, fn] : stages) {
+      OperatorStats& s = run.stats[name];
+      std::vector<Tuple> next;
+      for (const Tuple& t : cur) {
+        ++s.tuples_in;
+        try {
+          for (Tuple& out : fn(t)) next.push_back(std::move(out));
+        } catch (const std::exception&) {
+          ++s.user_errors;
+        }
+      }
+      s.tuples_out += next.size();
+      cur = std::move(next);
+    }
+    for (const Tuple& t : cur) {
+      run.output.emplace_back(t.event_time, t.payload.Get("v").AsInt());
+    }
+  }
+  return run;
 }
 
 TEST(OperatorFusion, FusedChainMatchesUnfusedOutputExactly) {
-  const auto unfused = ChainOutput(false);
-  const auto fused = ChainOutput(true);
-  ASSERT_FALSE(unfused.empty());
+  const ChainRun reference = SerialFold(kChainTuples);
+  const ChainRun fused = RunChain(kChainTuples);
+  ASSERT_FALSE(reference.output.empty());
   // A single chain preserves total order, so the sequences are identical,
   // not just equal as multisets.
-  EXPECT_EQ(fused, unfused);
+  EXPECT_EQ(fused.output, reference.output);
 }
 
 TEST(OperatorFusion, PerStageStatsSurviveFusion) {
-  std::map<std::string, OperatorStats> stats[2];
-  for (int fusion = 0; fusion < 2; ++fusion) {
-    QueryOptions options;
-    options.enable_fusion = fusion == 1;
-    Query query(options);
-    testutil::Collector sink;
-    BuildChainPipeline(&query, 400, &sink);
-    query.Run();
-    for (const OperatorStats& s : query.Stats()) stats[fusion][s.name] = s;
+  const ChainRun reference = SerialFold(kChainTuples);
+  const ChainRun fused = RunChain(kChainTuples);
+  for (const auto& [name, expected] : reference.stats) {
+    ASSERT_TRUE(fused.stats.count(name)) << "fused run lost operator " << name;
+    const OperatorStats& got = fused.stats.at(name);
+    EXPECT_EQ(got.tuples_in, expected.tuples_in) << name;
+    EXPECT_EQ(got.tuples_out, expected.tuples_out) << name;
+    EXPECT_EQ(got.user_errors, expected.user_errors) << name;
   }
-  // Same logical operator set either way: fusion is an execution detail.
-  ASSERT_EQ(stats[0].size(), stats[1].size());
-  for (const auto& [name, unfused] : stats[0]) {
-    ASSERT_TRUE(stats[1].count(name)) << "fused run lost operator " << name;
-    const OperatorStats& fused = stats[1][name];
-    EXPECT_EQ(fused.kind, unfused.kind) << name;
-    EXPECT_EQ(fused.tuples_in, unfused.tuples_in) << name;
-    EXPECT_EQ(fused.tuples_out, unfused.tuples_out) << name;
-    EXPECT_EQ(fused.user_errors, unfused.user_errors) << name;
-  }
-  // The seeded failure fires for every v == 777 input; make sure the test
-  // exercised the error-attribution path at all.
-  std::uint64_t total_errors = 0;
-  for (const auto& [name, s] : stats[1]) total_errors += s.user_errors;
+  // Fusion leaves the logical operator set alone: Stats() lists every
+  // stage under its own name and kind, and no fused worker (`a+b`).
+  std::map<std::string, std::string> kinds;
+  for (const auto& [name, s] : fused.stats) kinds[name] = s.kind;
+  EXPECT_EQ(kinds, (std::map<std::string, std::string>{{"gen", "source"},
+                                                       {"expand", "flatmap"},
+                                                       {"keep", "filter"},
+                                                       {"scale", "flatmap"},
+                                                       {"sink", "sink"}}));
+  // The seeded failure fires for every v % 50 == 7 input; make sure the
+  // test exercised the error path at all.
   std::uint64_t expected_errors = 0;
-  for (std::int64_t i = 0; i < 400; ++i) {
-    if (SeededValue(i) == 777) ++expected_errors;
+  for (std::int64_t i = 0; i < kChainTuples; ++i) {
+    if (SeededValue(i) % 50 == 7) ++expected_errors;
   }
-  EXPECT_EQ(total_errors, expected_errors);
+  ASSERT_GT(expected_errors, 0u);
+  EXPECT_EQ(reference.stats.at("expand").user_errors, expected_errors);
+}
+
+TEST(OperatorFusion, ThrowingStageIsCountedLoggedAndSkipped) {
+  // gen -> pass -> judge (throws on layer 3) -> sink: one fused chain. The
+  // error is the judge's own: counted on it and logged under its name, and
+  // only the offending tuple is lost.
+  Query query;
+  auto position = std::make_shared<std::int64_t>(0);
+  auto gen = query.AddSource("gen", [position]() -> std::optional<Tuple> {
+    if (*position >= 10) return std::nullopt;
+    const std::int64_t layer = (*position)++;
+    return testutil::MakeTuple(layer, 0, layer);
+  });
+  auto passed = query.AddFlatMap(
+      "pass", std::move(gen),
+      [](const Tuple& t) { return std::vector<Tuple>{t}; });
+  auto judged = query.AddFilter("judge", std::move(passed), [](const Tuple& t) {
+    if (t.layer == 3) throw std::runtime_error("judge: bad layer");
+    return true;
+  });
+  testutil::Collector sink;
+  query.AddSink("sink", std::move(judged), sink.AsSink());
+
+  testing::internal::CaptureStderr();
+  query.Run();
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("operator 'judge': user function threw: judge: bad layer"),
+            std::string::npos)
+      << log;
+
+  std::vector<std::int64_t> layers;
+  for (const Tuple& t : sink.tuples()) layers.push_back(t.layer);
+  EXPECT_EQ(layers, (std::vector<std::int64_t>{0, 1, 2, 4, 5, 6, 7, 8, 9}));
+  std::map<std::string, OperatorStats> stats;
+  for (const OperatorStats& s : query.Stats()) stats[s.name] = s;
+  EXPECT_EQ(stats.at("pass").user_errors, 0u);
+  EXPECT_EQ(stats.at("judge").user_errors, 1u);
+  EXPECT_EQ(stats.at("judge").tuples_in, 10u);
+  EXPECT_EQ(stats.at("judge").tuples_out, 9u);
 }
 
 TEST(OperatorFusion, FusionPassFindsTheChain) {
@@ -172,6 +259,36 @@ TEST(OperatorFusion, FusionPassFindsTheChain) {
   ASSERT_EQ(plan.fused[0]->outputs().size(), 1u);
   EXPECT_EQ(plan.fused[0]->inputs()[0].get(), s_in.get());
   EXPECT_EQ(plan.fused[0]->outputs()[0].get(), s_out.get());
+}
+
+TEST(OperatorFusion, ChainDiscardsCountOnItsTail) {
+  // head -> tail fused, downstream already gone: what the worker could not
+  // deliver is the tail's loss in Stats(), not the head's.
+  const Clock* clock = &Clock::System();
+  auto s_in = std::make_shared<Stream>("in", 16);
+  auto s_mid = std::make_shared<Stream>("mid", 16);
+  auto s_out = std::make_shared<Stream>("out", 16);
+  std::vector<std::unique_ptr<Operator>> ops;
+  ops.push_back(std::make_unique<FlatMapOperator>(
+      "head", clock, [](const Tuple& t) { return std::vector<Tuple>{t}; }));
+  ops.back()->AddInput(s_in);
+  ops.back()->AddOutput(s_mid);
+  ops.push_back(std::make_unique<FilterOperator>(
+      "tail", clock, [](const Tuple&) { return true; }));
+  ops.back()->AddInput(s_mid);
+  ops.back()->AddOutput(s_out);
+  FusionPlan plan = FuseStatelessChains(ops, clock);
+  ASSERT_EQ(plan.fused.size(), 1u);
+
+  s_out->Close();
+  ASSERT_TRUE(testutil::PushOne(*s_in, testutil::MakeTuple(1)).ok());
+  s_in->Close();
+  plan.fused[0]->Run();
+
+  const std::uint64_t lost = plan.fused[0]->stats().discarded;
+  EXPECT_GE(lost, 1u);
+  EXPECT_EQ(ops[1]->stats().discarded, lost);
+  EXPECT_EQ(ops[0]->stats().discarded, 0u);
 }
 
 // ------------------------------------------- sharded-vs-unsharded stateful
@@ -431,18 +548,16 @@ CheckpointReference(std::int64_t tuples) {
   return GroupSequences(sink);
 }
 
-/// Run A: emit `pause_at` tuples with fusion + `shards_a`, force one epoch
-/// through mid-stream, end. Run B: rebuild with `shards_b`, recover, emit
-/// the rest. Returns run B's output.
+/// Run A: emit `pause_at` tuples through `shards_a` (pass -> tag fused),
+/// force one epoch through mid-stream, end. Run B: rebuild with `shards_b`,
+/// recover, emit the rest. Returns run B's output.
 std::map<std::string, std::vector<std::pair<Timestamp, std::int64_t>>>
 CheckpointRoundTrip(InMemoryCheckpointStore* store, int shards_a, int shards_b,
                     std::int64_t pause_at, std::int64_t tuples) {
   CheckpointerOptions cp_options;
   cp_options.interval_ms = 50;
   {
-    QueryOptions options;
-    options.enable_fusion = true;
-    Query a(options);
+    Query a;
     testutil::Collector sink_a;
     auto position = std::make_shared<std::int64_t>(0);
     std::atomic<bool> saw_epoch{false};
@@ -485,9 +600,7 @@ CheckpointRoundTrip(InMemoryCheckpointStore* store, int shards_a, int shards_b,
     EXPECT_TRUE(saw_epoch) << "no checkpoint epoch completed in run A";
   }
 
-  QueryOptions options;
-  options.enable_fusion = true;
-  Query b(options);
+  Query b;
   testutil::Collector sink_b;
   auto position = std::make_shared<std::int64_t>(0);
   BuildCheckpointedPipeline(&b, shards_b, position, tuples, &sink_b);

@@ -155,5 +155,52 @@ TEST_F(TracePlaneTest, ParallelFlatMapKeepsTraceAcrossRouterAndUnion) {
   EXPECT_GT(complete, 0);
 }
 
+TEST_F(TracePlaneTest, FusedChainTracesEachStageUnderItsOwnName) {
+  // detect -> threshold is a fusable chain, so one fused worker runs both;
+  // each stage must still record its own span, chained like separate hops.
+  Query query;
+  StreamPtr source = query.AddSource("collector", FiniteSource(8));
+  StreamPtr mapped = query.AddFlatMap(
+      "detect", source, [](const Tuple& t) { return std::vector<Tuple>{t}; });
+  StreamPtr filtered =
+      query.AddFilter("threshold", mapped, [](const Tuple&) { return true; });
+  query.AddSink("deliver", filtered, [](const Tuple&) {});
+  query.Run();
+
+  const std::vector<Span> spans = Tracer::Instance().CollectSpans();
+  std::map<std::uint64_t, const Span*> by_id;
+  for (const Span& span : spans) {
+    EXPECT_EQ(std::string(span.name).find('+'), std::string::npos)
+        << "span of the fused worker itself: " << span.name;
+    by_id[span.span_id] = &span;
+  }
+  auto parent_of = [&](const Span& span) -> const Span* {
+    const auto it = by_id.find(span.parent_span);
+    return it == by_id.end() ? nullptr : it->second;
+  };
+  int chains = 0;
+  for (const Span& sink : spans) {
+    if (std::string(sink.name) != "deliver") continue;
+    const Span* filter = parent_of(sink);
+    ASSERT_NE(filter, nullptr);
+    EXPECT_STREQ(filter->name, "threshold");
+    EXPECT_STREQ(filter->category, "spe.filter");
+    const Span* flatmap = parent_of(*filter);
+    ASSERT_NE(flatmap, nullptr);
+    EXPECT_STREQ(flatmap->name, "detect");
+    EXPECT_STREQ(flatmap->category, "spe.flatmap");
+    EXPECT_LE(flatmap->start_us + flatmap->dur_us, filter->start_us);
+    const Span* root = parent_of(*flatmap);
+    ASSERT_NE(root, nullptr);
+    EXPECT_STREQ(root->category, "spe.source");
+    ++chains;
+  }
+  EXPECT_GT(chains, 0);
+
+  const std::string tracez = Tracer::ToTracezText(spans);
+  EXPECT_NE(tracez.find("detect"), std::string::npos) << tracez;
+  EXPECT_NE(tracez.find("threshold"), std::string::npos) << tracez;
+}
+
 }  // namespace
 }  // namespace strata::spe
