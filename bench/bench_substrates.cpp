@@ -1,9 +1,10 @@
 // Ablation A2: substrate microbenchmarks (google-benchmark).
 //
 // Establishes that each substrate is fast enough for the paper's workload:
-// the KV store (thresholds, at-rest data), the pub/sub broker (connectors
-// moving 1-4 MB OT frames), the SPE operator path (per-tuple overhead that
-// bounds cell throughput), the tuple transport codec, and OT generation.
+// the KV store (thresholds, at-rest data), the CRC-32C over every stored or
+// sent byte, the pub/sub broker (connectors moving 1-4 MB OT frames), the
+// SPE operator path (per-tuple overhead that bounds cell throughput), the
+// tuple transport codec, and OT generation.
 // `--network` runs only the networked broker benchmarks (BM_Net*), which
 // put a BrokerServer + TCP loopback between producer and consumer — the
 // embedded BM_PubSub* rows are the baseline to compare against.
@@ -12,10 +13,13 @@
 
 #include <atomic>
 #include <memory>
+#include <random>
+#include <string>
 #include <thread>
 
 #include "am/machine.hpp"
 #include "bench_json.hpp"
+#include "common/crc32.hpp"
 #include "net/frame.hpp"
 #include "common/fs.hpp"
 #include "kvstore/db.hpp"
@@ -419,6 +423,34 @@ static void BM_SpeAggregateWindows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tuples);
 }
 BENCHMARK(BM_SpeAggregateWindows)->Unit(benchmark::kMillisecond);
+
+// --------------------------------------------------------------- checksum
+
+// Random bytes, so the input is run-time data the compiler cannot fold.
+static std::string RandomBytes(std::size_t n) {
+  std::mt19937_64 gen(1);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(gen() & 0xff);
+  return out;
+}
+
+static void BM_Crc32c(benchmark::State& state) {
+  const std::string data = RandomBytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32c(data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(crc32_internal::HardwareActive() ? "hardware" : "table");
+}
+BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(1 << 20)->Arg(4 << 20);
+
+// The table loop Crc32c falls back to: the baseline for the row above.
+static void BM_Crc32cTable(benchmark::State& state) {
+  const std::string data = RandomBytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32_internal::Crc32cTable(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32cTable)->Arg(4 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
 // -------------------------------------------------------------- transport
 

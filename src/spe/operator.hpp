@@ -288,6 +288,12 @@ class Operator {
   void CountIn(std::size_t n) {
     in_count_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// Counts the batch's data tuples; barrier markers are not input.
+  void CountIn(const TupleBatch& batch) {
+    std::size_t data = 0;
+    for (const Tuple& tuple : batch) data += tuple.IsBarrier() ? 0 : 1;
+    CountIn(data);
+  }
   void CountOut(std::size_t n) {
     out_count_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -487,7 +493,7 @@ void Operator::RunSingleInput(const char* category, Step step, AtEnd at_end) {
   while (open) {
     auto batch = input.PopBatch(batch_size_);
     if (!batch.has_value()) break;  // input closed and drained
-    CountIn(batch->size());
+    CountIn(*batch);
     const obs::SpanScope span = BatchSpan(category, *batch);
     for (Tuple& tuple : *batch) {
       if (tuple.IsBarrier()) {
@@ -565,7 +571,7 @@ void Operator::RunAligned(const char* category, Step step) {
       while (open && !aligner.blocked(i)) {
         auto batch = inputs_[i]->TryPopBatch(batch_size_);
         if (!batch.has_value()) break;
-        CountIn(batch->size());
+        CountIn(*batch);
         ingest(i, std::move(*batch));
         progressed = true;
       }
@@ -590,7 +596,7 @@ void Operator::RunAligned(const char* category, Step step) {
     for (std::size_t i = 0; i < n; ++i) {
       if (aligner.done(i) || aligner.blocked(i)) continue;
       if (auto batch = inputs_[i]->PopBatchFor(kPollInterval, batch_size_)) {
-        CountIn(batch->size());
+        CountIn(*batch);
         ingest(i, std::move(*batch));
         settle();
       }

@@ -57,7 +57,8 @@ class ConsumerContractTest : public ::testing::TestWithParam<Transport> {
   void Append(const std::string& topic, int from, int to) {
     for (int i = from; i < to; ++i) {
       ps::Record record;
-      record.value = "v" + std::to_string(i);
+      record.value = "v";
+      record.value.append(std::to_string(i));
       ASSERT_TRUE(broker_.Produce(topic, record).ok());
     }
   }

@@ -609,6 +609,52 @@ TEST(QueryCheckpoint, SlowInputTimesOutEpochButDataKeepsFlowing) {
   EXPECT_EQ(sink.size(), static_cast<std::size_t>(kTuples));
 }
 
+TEST(QueryCheckpoint, TuplesInCountsDataTuplesOnly) {
+  // Barrier markers pass every operator once per epoch; they are not input.
+  // "lone" runs on its own thread (the union next to it cannot fuse);
+  // "head" -> "tail" fuse into one worker; "merge" aligns two inputs.
+  InMemoryCheckpointStore store;
+  CheckpointerOptions cp_options;
+  cp_options.interval_ms = 5;
+
+  constexpr std::int64_t kTuples = 300;
+  auto make_source = [](std::int64_t job) {
+    auto next = std::make_shared<std::int64_t>(0);
+    return [next, job]() -> std::optional<Tuple> {
+      if (*next >= kTuples) return std::nullopt;
+      std::this_thread::sleep_for(100us);  // keep several epochs in flight
+      return testutil::MakeTuple((*next)++, job);
+    };
+  };
+  auto pass = [](const Tuple& t) { return std::vector<Tuple>{t}; };
+
+  testutil::Collector sink;
+  Query query;
+  StreamPtr lone = query.AddFlatMap(
+      "lone", query.AddSource("gen_a", make_source(1)), pass);
+  StreamPtr head = query.AddFlatMap(
+      "head", query.AddSource("gen_b", make_source(2)), pass);
+  StreamPtr tail = query.AddFlatMap("tail", std::move(head), pass);
+  query.AddSink("collect", query.AddUnion("merge", {lone, tail}),
+                sink.AsSink());
+  query.EnableCheckpointing(&store, cp_options);
+  query.Run();
+
+  ASSERT_GE(query.checkpointer()->stats().epochs_completed, 2u)
+      << "too few epochs to tell a barrier from a tuple";
+  ASSERT_EQ(sink.size(), static_cast<std::size_t>(2 * kTuples));
+  std::map<std::string, OperatorStats> stats;
+  for (const OperatorStats& s : query.Stats()) stats[s.name] = s;
+  for (const char* name : {"lone", "head", "tail"}) {
+    EXPECT_EQ(stats.at(name).tuples_in, static_cast<std::uint64_t>(kTuples))
+        << name;
+  }
+  EXPECT_EQ(stats.at("merge").tuples_in,
+            static_cast<std::uint64_t>(2 * kTuples));
+  EXPECT_EQ(stats.at("collect").tuples_in,
+            static_cast<std::uint64_t>(2 * kTuples));
+}
+
 TEST(QueryCheckpoint, StopWhileCheckpointingFanOutExitsCleanly) {
   InMemoryCheckpointStore store;
   CheckpointerOptions cp_options;
