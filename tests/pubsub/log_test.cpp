@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.hpp"
+#include "common/crc32.hpp"
 #include "common/fs.hpp"
+#include "fault/failpoint.hpp"
 
 namespace strata::ps {
 namespace {
@@ -155,6 +158,109 @@ TEST(PartitionLog, PersistenceToleratesTornTail) {
 
   auto log = std::move(PartitionLog::Open(options)).value();
   EXPECT_EQ(log->EndOffset(), 9);  // last record dropped, rest intact
+}
+
+// --- segment format golden bytes ---------------------------------------------
+//
+// The expected bytes are built from the codec primitives alone, so these
+// tests pin the on-disk format however the log assembles an entry.
+
+/// One segment entry: masked_crc32c(4) | length(4) | varint timestamp |
+/// length-prefixed key | length-prefixed value.
+std::string SegmentEntry(const std::string& key, const std::string& value,
+                         Timestamp ts) {
+  std::string body;
+  codec::PutVarint64Signed(&body, ts);
+  codec::PutLengthPrefixed(&body, key);
+  codec::PutLengthPrefixed(&body, value);
+  std::string entry;
+  codec::PutFixed32(&entry, MaskCrc(Crc32c(body)));
+  codec::PutFixed32(&entry, static_cast<std::uint32_t>(body.size()));
+  entry.append(body);
+  return entry;
+}
+
+/// The contents of the only segment file under `dir`.
+std::string OnlySegment(const std::filesystem::path& dir) {
+  std::filesystem::path segment;
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".seg") {
+      segment = entry.path();
+      ++count;
+    }
+  }
+  EXPECT_EQ(count, 1);
+  auto contents = strata::fs::ReadFile(segment);
+  EXPECT_TRUE(contents.ok());
+  return contents.ok() ? *contents : std::string();
+}
+
+/// A value that takes every byte value, 0 included.
+std::string BinaryValue(std::size_t n) {
+  std::string value(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    value[i] = static_cast<char>((i * 131 + i / 256) & 0xff);
+  }
+  return value;
+}
+
+TEST(PartitionLog, SegmentBytesAreTheDocumentedFormat) {
+  strata::fs::ScopedTempDir dir("pslog-golden");
+  LogOptions options;
+  options.dir = dir.path() / "p0";
+  const std::string big = BinaryValue(70'000);
+  const std::string long_key = "a key longer than the short string buffer";
+  auto log = std::move(PartitionLog::Open(options)).value();
+  ASSERT_TRUE(log->Append(MakeRecord("", "v0", 0)).ok());
+  ASSERT_TRUE(log->Append(MakeRecord("key-1", big, -7)).ok());
+  ASSERT_TRUE(
+      log->Append(MakeRecord(long_key, std::string("\0\xff", 2), 1'700'000'000'000))
+          .ok());
+  ASSERT_TRUE(log->Append(MakeRecord("empty-value", "", 5)).ok());
+
+  const std::string expected =
+      SegmentEntry("", "v0", 0) + SegmentEntry("key-1", big, -7) +
+      SegmentEntry(long_key, std::string("\0\xff", 2), 1'700'000'000'000) +
+      SegmentEntry("empty-value", "", 5);
+  const std::string written = OnlySegment(options.dir);
+  EXPECT_EQ(written.size(), expected.size());
+  EXPECT_TRUE(written == expected);
+  // The first entry byte for byte: CRC, length 5, then ts 0, key "", "v0".
+  const std::string first = SegmentEntry("", "v0", 0);
+  EXPECT_EQ(written.substr(4, 9),
+            std::string("\x05\x00\x00\x00\x00\x00\x02v0", 9));
+  EXPECT_EQ(written.substr(0, first.size()), first);
+}
+
+TEST(PartitionLog, TornSegmentAppendPersistsExactlyNBytes) {
+  const std::string value = BinaryValue(1'000);
+  const std::string entry = SegmentEntry("key", value, 9);
+  // Inside the 8-byte CRC/length header, inside the record head, and inside
+  // the value.
+  for (const std::size_t cut : {std::size_t{3}, std::size_t{11},
+                                std::size_t{500}}) {
+    strata::fs::ScopedTempDir dir("pslog-torn-append");
+    LogOptions options;
+    options.dir = dir.path() / "p0";
+    {
+      auto log = std::move(PartitionLog::Open(options)).value();
+      ASSERT_TRUE(log->Append(MakeRecord("", "before", 1)).ok());
+      fault::Activate("segment.append",
+                      fault::Action{fault::ActionKind::kTornWrite,
+                                    static_cast<std::int64_t>(cut), 1.0, 1});
+      EXPECT_FALSE(log->Append(MakeRecord("key", value, 9)).ok());
+      fault::DeactivateAll();
+    }
+    const std::string written = OnlySegment(options.dir);
+    const std::string before = SegmentEntry("", "before", 1);
+    ASSERT_EQ(written.size(), before.size() + cut) << "cut " << cut;
+    EXPECT_EQ(written.substr(before.size()), entry.substr(0, cut))
+        << "cut " << cut;
+    // Recovery drops the torn tail and keeps the record before it.
+    auto log = std::move(PartitionLog::Open(options)).value();
+    EXPECT_EQ(log->EndOffset(), 1) << "cut " << cut;
+  }
 }
 
 TEST(PartitionLog, AppendsContinueAfterReload) {
