@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     auto polled = (*consumer)->Poll(500ms);
     if (!polled.ok()) continue;
     for (const ps::ConsumedRecord& record : *polled) {
-      seen.push_back(record.value);
+      seen.emplace_back(record.value);
     }
   }
   bool ordered = static_cast<int>(seen.size()) == records;

@@ -1,33 +1,66 @@
 #include "net/frame.hpp"
 
+#include <vector>
+
 #include "common/codec.hpp"
 #include "common/crc32.hpp"
 
 namespace strata::net {
 
-void EncodeFrame(std::string_view payload, const TraceContext& trace,
-                 std::uint64_t correlation, std::string* out) {
+namespace {
+
+void StoreFixed32(char* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
+}
+
+void StoreFixed64(char* out, std::uint64_t v) {
+  StoreFixed32(out, static_cast<std::uint32_t>(v));
+  StoreFixed32(out + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+}  // namespace
+
+std::size_t EncodeFrameHeader(std::span<const std::string_view> payload,
+                              const TraceContext& trace,
+                              std::uint64_t correlation, char* out) {
   // An unsampled context travels as zeros.
   const TraceContext sent = trace.sampled() ? trace : TraceContext{};
-  std::string fields;
-  codec::PutFixed64(&fields, sent.trace_id);
-  codec::PutFixed64(&fields, sent.parent_span);
-  codec::PutFixed64(&fields, correlation);
-  codec::PutFixed32(out, static_cast<std::uint32_t>(payload.size()));
-  codec::PutFixed32(out, MaskCrc(Crc32c(payload, Crc32c(fields))));
-  out->append(fields);
+  StoreFixed64(out + 8, sent.trace_id);
+  StoreFixed64(out + 16, sent.parent_span);
+  StoreFixed64(out + 24, correlation);
+  std::uint32_t crc =
+      Crc32c(std::string_view(out + 8, kFrameHeaderBytes - 8));
+  std::size_t length = 0;
+  for (const std::string_view piece : payload) {
+    crc = Crc32c(piece, crc);
+    length += piece.size();
+  }
+  StoreFixed32(out, static_cast<std::uint32_t>(length));
+  StoreFixed32(out + 4, MaskCrc(crc));
+  return length;
+}
+
+void EncodeFrame(std::string_view payload, const TraceContext& trace,
+                 std::uint64_t correlation, std::string* out) {
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(std::span(&payload, 1), trace, correlation, header);
+  out->append(header, kFrameHeaderBytes);
   out->append(payload.data(), payload.size());
 }
 
-Status WriteFrame(Socket* socket, std::string_view payload, Deadline deadline,
-                  const TraceContext& trace, std::uint64_t correlation) {
-  if (payload.size() > kMaxFrameBytes) {
+Status WriteFrame(Socket* socket, std::span<const std::string_view> payload,
+                  Deadline deadline, const TraceContext& trace,
+                  std::uint64_t correlation) {
+  char header[kFrameHeaderBytes];
+  if (EncodeFrameHeader(payload, trace, correlation, header) >
+      kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  EncodeFrame(payload, trace, correlation, &frame);
-  return socket->WriteAll(frame, deadline);
+  std::vector<std::string_view> pieces;
+  pieces.reserve(payload.size() + 1);
+  pieces.emplace_back(header, kFrameHeaderBytes);
+  pieces.insert(pieces.end(), payload.begin(), payload.end());
+  return socket->WriteAll(pieces, deadline);
 }
 
 Status ParseFrameHeader(std::string_view header, FrameHeader* out) {

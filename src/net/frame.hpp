@@ -12,8 +12,14 @@
 // anywhere surfaces as Status::Corruption instead of a garbage decode.
 // Lengths above kMaxFrameBytes are rejected before any allocation, which
 // also cheaply catches desynchronized streams.
+//
+// A payload may be handed over as a list of pieces (the envelope, the
+// encoded fields, each record value as a view of its own buffer): the CRC
+// chains across them and they go out in one gathered write, so a frame is
+// never assembled in one buffer on its way out.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "common/trace_context.hpp"
@@ -28,15 +34,31 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 /// Size of the fixed frame header: length, CRC, trace, correlation.
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 
+/// Store the kFrameHeaderBytes header of a frame whose payload is
+/// `payload`'s pieces in order into `out`; returns the payload length.
+std::size_t EncodeFrameHeader(std::span<const std::string_view> payload,
+                              const TraceContext& trace,
+                              std::uint64_t correlation, char* out);
+
 /// Serialize one frame appended to `*out`.
 void EncodeFrame(std::string_view payload, const TraceContext& trace,
                  std::uint64_t correlation, std::string* out);
 
-/// Write one frame.
-[[nodiscard]] Status WriteFrame(Socket* socket, std::string_view payload,
+/// Write one frame whose payload is `payload`'s pieces in order, in one
+/// gathered write.
+[[nodiscard]] Status WriteFrame(Socket* socket,
+                                std::span<const std::string_view> payload,
                                 Deadline deadline,
                                 const TraceContext& trace = {},
                                 std::uint64_t correlation = 0);
+[[nodiscard]] inline Status WriteFrame(Socket* socket,
+                                       std::string_view payload,
+                                       Deadline deadline,
+                                       const TraceContext& trace = {},
+                                       std::uint64_t correlation = 0) {
+  return WriteFrame(socket, std::span(&payload, 1), deadline, trace,
+                    correlation);
+}
 
 /// Read one frame into `*payload`. Corruption on CRC mismatch or an
 /// implausible length; otherwise forwards the socket's status (Unavailable

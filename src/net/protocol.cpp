@@ -38,7 +38,52 @@ Status ExpectDrained(std::string_view in) {
   return Status::Ok();
 }
 
+/// A record value: its length into the owned bytes, its bytes by reference.
+void PutValue(Pieces* out, const ps::Bytes& value) {
+  codec::PutVarint64(out->out(), value.size());
+  out->Append(value);
+}
+
+/// A length-prefixed value, as a slice of `buffer`, which `*in` views.
+bool GetValue(const ps::Bytes& buffer, std::string_view* in,
+              ps::Bytes* value) {
+  std::string_view bytes;
+  if (!codec::GetLengthPrefixed(in, &bytes)) return false;
+  *value = buffer.Slice(bytes);
+  return true;
+}
+
 }  // namespace
+
+// --- pieces -----------------------------------------------------------------
+
+std::size_t Pieces::size() const noexcept {
+  std::size_t total = owned_.size();
+  for (const Shared& shared : shared_) total += shared.bytes.size();
+  return total;
+}
+
+void Pieces::AppendViews(std::vector<std::string_view>* views) const {
+  std::size_t from = 0;
+  const auto owned = [&](std::size_t to) {
+    if (to > from) views->emplace_back(owned_.data() + from, to - from);
+    from = to;
+  };
+  for (const Shared& shared : shared_) {
+    owned(shared.at);
+    if (!shared.bytes.empty()) views->push_back(shared.bytes);
+  }
+  owned(owned_.size());
+}
+
+std::string Pieces::Flatten() const {
+  std::vector<std::string_view> views;
+  AppendViews(&views);
+  std::string flat;
+  flat.reserve(size());
+  for (const std::string_view view : views) flat.append(view);
+  return flat;
+}
 
 const char* ApiKeyName(ApiKey api) noexcept {
   switch (api) {
@@ -187,17 +232,18 @@ Status DecodeMetadataResponse(std::string_view in, MetadataResponse* out) {
 
 // --- produce ----------------------------------------------------------------
 
-void EncodeProduceRequest(const ProduceRequest& req, std::string* out) {
-  codec::PutLengthPrefixed(out, req.topic);
-  codec::PutLengthPrefixed(out, req.record.key);
-  codec::PutLengthPrefixed(out, req.record.value);
-  codec::PutVarint64Signed(out, req.record.timestamp);
-  out->push_back(static_cast<char>(req.acks));
+void EncodeProduceRequest(const ProduceRequest& req, Pieces* out) {
+  codec::PutLengthPrefixed(out->out(), req.topic);
+  codec::PutLengthPrefixed(out->out(), req.record.key);
+  PutValue(out, req.record.value);
+  codec::PutVarint64Signed(out->out(), req.record.timestamp);
+  out->out()->push_back(static_cast<char>(req.acks));
 }
 
-Status DecodeProduceRequest(std::string_view in, ProduceRequest* out) {
+Status DecodeProduceRequest(const ps::Bytes& body, ProduceRequest* out) {
+  std::string_view in = body;
   if (!GetString(&in, &out->topic) || !GetString(&in, &out->record.key) ||
-      !GetString(&in, &out->record.value) ||
+      !GetValue(body, &in, &out->record.value) ||
       !codec::GetVarint64Signed(&in, &out->record.timestamp) || in.empty()) {
     return Truncated("produce request");
   }
@@ -260,7 +306,8 @@ Status DecodeFetchRequest(std::string_view in, FetchRequest* out) {
   return ExpectDrained(in);
 }
 
-void EncodeFetchResponse(const FetchResponse& resp, std::string* out) {
+void EncodeFetchResponse(const FetchResponse& resp, Pieces* pieces) {
+  std::string* out = pieces->out();
   codec::PutVarint32(out, static_cast<std::uint32_t>(resp.entries.size()));
   for (const FetchResponse::Entry& entry : resp.entries) {
     PutTopicPartition(out, entry.tp);
@@ -269,13 +316,14 @@ void EncodeFetchResponse(const FetchResponse& resp, std::string* out) {
     for (const ps::ConsumedRecord& record : entry.records) {
       codec::PutVarint64Signed(out, record.offset);
       codec::PutLengthPrefixed(out, record.key);
-      codec::PutLengthPrefixed(out, record.value);
+      PutValue(pieces, record.value);
       codec::PutVarint64Signed(out, record.timestamp);
     }
   }
 }
 
-Status DecodeFetchResponse(std::string_view in, FetchResponse* out) {
+Status DecodeFetchResponse(const ps::Bytes& body, FetchResponse* out) {
+  std::string_view in = body;
   std::uint32_t n = 0;
   if (!codec::GetVarint32(&in, &n) || n > kMaxBatchEntries) {
     return Truncated("fetch response");
@@ -296,7 +344,8 @@ Status DecodeFetchResponse(std::string_view in, FetchResponse* out) {
       record.topic = entry.tp.topic;
       record.partition = entry.tp.partition;
       if (!codec::GetVarint64Signed(&in, &record.offset) ||
-          !GetString(&in, &record.key) || !GetString(&in, &record.value) ||
+          !GetString(&in, &record.key) ||
+          !GetValue(body, &in, &record.value) ||
           !codec::GetVarint64Signed(&in, &record.timestamp)) {
         return Truncated("fetch record");
       }
@@ -479,7 +528,8 @@ Status DecodeReplicaFetchRequest(std::string_view in,
 }
 
 void EncodeReplicaFetchResponse(const ReplicaFetchResponse& resp,
-                                std::string* out) {
+                                Pieces* pieces) {
+  std::string* out = pieces->out();
   codec::PutVarint32(out, resp.leader);
   codec::PutVarint64(out, resp.epoch);
   codec::PutVarint32(out, static_cast<std::uint32_t>(resp.entries.size()));
@@ -491,14 +541,15 @@ void EncodeReplicaFetchResponse(const ReplicaFetchResponse& resp,
     codec::PutVarint32(out, static_cast<std::uint32_t>(entry.records.size()));
     for (const ps::Record& record : entry.records) {
       codec::PutLengthPrefixed(out, record.key);
-      codec::PutLengthPrefixed(out, record.value);
+      PutValue(pieces, record.value);
       codec::PutVarint64Signed(out, record.timestamp);
     }
   }
 }
 
-Status DecodeReplicaFetchResponse(std::string_view in,
+Status DecodeReplicaFetchResponse(const ps::Bytes& body,
                                   ReplicaFetchResponse* out) {
+  std::string_view in = body;
   std::uint32_t n = 0;
   if (!codec::GetVarint32(&in, &out->leader) ||
       !codec::GetVarint64(&in, &out->epoch) || !codec::GetVarint32(&in, &n) ||
@@ -520,7 +571,8 @@ Status DecodeReplicaFetchResponse(std::string_view in,
     entry.records.reserve(records);
     for (std::uint32_t r = 0; r < records; ++r) {
       ps::Record record;
-      if (!GetString(&in, &record.key) || !GetString(&in, &record.value) ||
+      if (!GetString(&in, &record.key) ||
+          !GetValue(body, &in, &record.value) ||
           !codec::GetVarint64Signed(&in, &record.timestamp)) {
         return Truncated("replica_fetch record");
       }

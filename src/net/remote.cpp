@@ -114,11 +114,12 @@ Status ClientConnection::EnsureConnected() {
   return Status::Ok();
 }
 
-Status ClientConnection::RoundTrip(ApiKey api, std::string_view body,
-                                   std::string* response_body,
+Status ClientConnection::RoundTrip(ApiKey api, const Pieces& body,
+                                   ps::Bytes* response_body,
                                    std::chrono::microseconds extra_wait) {
-  scratch_.clear();
-  EncodeRequest(api, body, &scratch_);
+  const char key = static_cast<char>(api);
+  std::vector<std::string_view> payload{std::string_view(&key, 1)};
+  body.AppendViews(&payload);
   const Deadline deadline = After(options_.request_timeout + extra_wait);
   // Tag the frame with the caller's active span (if any) so the server's
   // dispatch span joins the same trace.
@@ -126,25 +127,28 @@ Status ClientConnection::RoundTrip(ApiKey api, std::string_view body,
       obs::TracingEnabled() ? ThreadTraceSlot() : TraceContext{};
   const std::uint64_t correlation = ++last_correlation_;
   STRATA_RETURN_IF_ERROR(
-      WriteFrame(&socket_, scratch_, deadline, trace, correlation));
+      WriteFrame(&socket_, payload, deadline, trace, correlation));
 
-  std::string payload;
+  std::string frame;
   std::uint64_t echoed = 0;
   STRATA_RETURN_IF_ERROR(
-      ReadFrame(&socket_, &payload, deadline, nullptr, &echoed));
+      ReadFrame(&socket_, &frame, deadline, nullptr, &echoed));
   if (echoed != correlation) {
     return Status::Corruption(
         "response correlation id " + std::to_string(echoed) +
         " does not match request " + std::to_string(correlation));
   }
+  // The frame's buffer becomes the response: the body, and every record
+  // value decoded from it, are slices of it.
+  const ps::Bytes response(std::move(frame));
   std::string_view out;
-  STRATA_RETURN_IF_ERROR(DecodeServerResponse(payload, &out));
-  response_body->assign(out.data(), out.size());
+  STRATA_RETURN_IF_ERROR(DecodeServerResponse(response, &out));
+  *response_body = response.Slice(out);
   return Status::Ok();
 }
 
-Status ClientConnection::Call(ApiKey api, std::string_view body,
-                              std::string* response_body,
+Status ClientConnection::Call(ApiKey api, const Pieces& body,
+                              ps::Bytes* response_body,
                               std::chrono::microseconds extra_wait,
                               bool retry) {
   {
@@ -230,7 +234,7 @@ void LeaderRouter::Refresh(const std::string& topic) {
     const auto& candidate =
         candidates[(probe_from_ + i) % candidates.size()];
     connection_.SetEndpoint(candidate.first, candidate.second);
-    std::string response;
+    ps::Bytes response;
     const Status status = connection_.Call(ApiKey::kClusterMeta, body,
                                            &response, {}, /*retry=*/false);
     if (!status.ok() && !IsServerError(status)) continue;  // dead broker
@@ -270,7 +274,7 @@ void LeaderRouter::Refresh(const std::string& topic) {
 }
 
 Status LeaderRouter::Call(ApiKey api, const std::string& topic,
-                          std::string_view body, std::string* response_body,
+                          const Pieces& body, ps::Bytes* response_body,
                           std::chrono::microseconds extra_wait) {
   const int rounds = std::max(1, options_.cluster_refresh_rounds);
   Status last = Status::Ok();
@@ -300,9 +304,9 @@ Result<std::pair<int, std::int64_t>> RemoteProducer::Send(
   req.topic = topic;
   req.record = std::move(record);
   req.acks = options_.acks;
-  std::string body;
+  Pieces body;
   EncodeProduceRequest(req, &body);
-  std::string response;
+  ps::Bytes response;
   STRATA_RETURN_IF_ERROR(
       router_.Call(ApiKey::kProduce, topic, body, &response));
   ProduceResponse resp;
@@ -327,7 +331,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     leave.member = member_;
     std::string body;
     EncodeGroupRequest(leave, &body);
-    std::string response;
+    ps::Bytes response;
     // Best effort, no retry: if the connection is gone the server's session
     // tracking already leaves the group for us.
     (void)router_.connection().Call(ApiKey::kLeaveGroup, body, &response,
@@ -365,7 +369,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     req.partitions = partitions;
     std::string body;
     EncodeOffsetFetchRequest(req, &body);
-    std::string response;
+    ps::Bytes response;
     STRATA_RETURN_IF_ERROR(Call(ApiKey::kOffsetFetch, body, &response));
     OffsetFetchResponse resp;
     STRATA_RETURN_IF_ERROR(DecodeOffsetFetchResponse(response, &resp));
@@ -387,7 +391,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     req.topic = topic_;
     std::string body;
     EncodeMetadataRequest(req, &body);
-    std::string response;
+    ps::Bytes response;
     STRATA_RETURN_IF_ERROR(Call(ApiKey::kMetadata, body, &response));
     MetadataResponse metadata;
     STRATA_RETURN_IF_ERROR(DecodeMetadataResponse(response, &metadata));
@@ -403,7 +407,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     req.offsets.assign(offsets.begin(), offsets.end());
     std::string body;
     EncodeCommitOffsetRequest(req, &body);
-    std::string response;
+    ps::Bytes response;
     // Committing the same offsets twice is idempotent, so retry is safe.
     return Call(ApiKey::kCommitOffset, body, &response);
   }
@@ -426,7 +430,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     req.max_wait_us = static_cast<std::uint64_t>(wait.count());
     std::string body;
     EncodeFetchRequest(req, &body);
-    std::string response;
+    ps::Bytes response;
     STRATA_RETURN_IF_ERROR(Call(ApiKey::kFetch, body, &response,
                                 wait + std::chrono::seconds(1)));
     FetchResponse resp;
@@ -437,7 +441,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
 
  private:
   /// Routed call bound to this consumer's topic.
-  Status Call(ApiKey api, const std::string& body, std::string* response,
+  Status Call(ApiKey api, const Pieces& body, ps::Bytes* response,
               std::chrono::microseconds extra_wait = {}) {
     return router_.Call(api, topic_, body, response, extra_wait);
   }
@@ -450,7 +454,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     join.topic = topic_;
     std::string body;
     EncodeGroupRequest(join, &body);
-    std::string response;
+    ps::Bytes response;
     STRATA_RETURN_IF_ERROR(Call(ApiKey::kJoinGroup, body, &response));
     JoinGroupResponse joined;
     STRATA_RETURN_IF_ERROR(DecodeJoinGroupResponse(response, &joined));
@@ -465,7 +469,7 @@ class RemoteTransport final : public ps::ConsumerTransport {
     heartbeat.member = member_;
     std::string body;
     EncodeGroupRequest(heartbeat, &body);
-    std::string response;
+    ps::Bytes response;
     STRATA_RETURN_IF_ERROR(Call(ApiKey::kHeartbeat, body, &response));
     return DecodeHeartbeatResponse(response, resp);
   }
@@ -496,7 +500,7 @@ Status RemoteBroker::CreateTopic(const std::string& name,
   req.config = config;
   std::string body;
   EncodeCreateTopic(req, &body);
-  std::string response;
+  ps::Bytes response;
   return control_.Call(ApiKey::kCreateTopic, body, &response);
 }
 
@@ -510,7 +514,7 @@ Result<MetadataResponse> RemoteBroker::Metadata(const std::string& topic) {
   req.topic = topic;
   std::string body;
   EncodeMetadataRequest(req, &body);
-  std::string response;
+  ps::Bytes response;
   STRATA_RETURN_IF_ERROR(control_.Call(ApiKey::kMetadata, body, &response));
   MetadataResponse resp;
   STRATA_RETURN_IF_ERROR(DecodeMetadataResponse(response, &resp));

@@ -86,9 +86,11 @@ class ClientConnection {
   /// included, are returned as-is without retry. A response whose
   /// correlation id differs from the request's is a transport fault
   /// (Corruption). `extra_wait` widens the read deadline for server-side
-  /// long-polls.
-  [[nodiscard]] Status Call(ApiKey api, std::string_view body,
-                            std::string* response_body,
+  /// long-polls. The body goes out in one gathered write, record values
+  /// straight from their buffers; `*response_body` is a slice of the
+  /// response frame's buffer.
+  [[nodiscard]] Status Call(ApiKey api, const Pieces& body,
+                            ps::Bytes* response_body,
                             std::chrono::microseconds extra_wait = {},
                             bool retry = true);
 
@@ -120,13 +122,12 @@ class ClientConnection {
   /// Next retry sleep: uniform in [backoff_initial, 3 * previous), capped
   /// at backoff_max (decorrelated jitter).
   [[nodiscard]] std::chrono::microseconds NextBackoff();
-  [[nodiscard]] Status RoundTrip(ApiKey api, std::string_view body,
-                                 std::string* response_body,
+  [[nodiscard]] Status RoundTrip(ApiKey api, const Pieces& body,
+                                 ps::Bytes* response_body,
                                  std::chrono::microseconds extra_wait);
 
   RemoteOptions options_;
   Socket socket_;
-  std::string scratch_;
   /// Correlation id of the last request on this connection.
   std::uint64_t last_correlation_ = 0;
   obs::Counter* retries_ = nullptr;
@@ -160,7 +161,7 @@ class LeaderRouter {
   /// Round-trip with leader re-routing. `topic` scopes the leader lookup on
   /// refresh (group traffic follows its topic's leader).
   [[nodiscard]] Status Call(ApiKey api, const std::string& topic,
-                            std::string_view body, std::string* response_body,
+                            const Pieces& body, ps::Bytes* response_body,
                             std::chrono::microseconds extra_wait = {});
 
   [[nodiscard]] ClientConnection& connection() noexcept { return connection_; }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <limits>
 #include <set>
 
@@ -18,11 +19,14 @@ namespace strata::net {
 
 namespace {
 
+/// The read buffer: frame headers and the first bytes of their payloads.
+constexpr std::size_t kReadBufferBytes = 64 * 1024;
 /// Per-event read cap: level-triggered epoll re-notifies leftover data, so
-/// bounding one event's work keeps one chatty client from starving the
-/// loop's other connections.
-constexpr std::size_t kReadChunk = 64 * 1024;
-constexpr int kReadChunksPerEvent = 4;
+/// bounding one event's work keeps one chatty client (or one 4 MB frame)
+/// from starving the loop's other connections.
+constexpr std::size_t kReadBytesPerEvent = 4 * kReadBufferBytes;
+/// Upper bound on the views one gathered write hands to the socket.
+constexpr std::size_t kWriteViews = 64;
 
 /// Microseconds on the monotonic clock, for latency histograms.
 std::int64_t NowUs() {
@@ -70,7 +74,8 @@ ServerConnection::ServerConnection(ServerContext* ctx, EventLoop* loop,
     : ctx_(ctx),
       loop_(loop),
       socket_(std::move(socket)),
-      wake_(std::make_shared<WakeTarget>()) {}
+      wake_(std::make_shared<WakeTarget>()),
+      rbuf_(kReadBufferBytes, '\0') {}
 
 ServerConnection::~ServerConnection() = default;
 
@@ -149,10 +154,28 @@ void ServerConnection::OnIoEvent(std::uint32_t events) {
 }
 
 void ServerConnection::OnReadable() {
-  if (severing_) return;
-  char chunk[kReadChunk];
-  for (int i = 0; i < kReadChunksPerEvent; ++i) {
-    auto n = socket_.ReadSome(chunk, sizeof(chunk));
+  auto guard = wake_;
+  std::size_t budget = kReadBytesPerEvent;
+  while (!severing_ && budget > 0) {
+    // A payload in progress is read straight into its own buffer; otherwise
+    // the read buffer takes the next headers (only a partial header can be
+    // left in it, so compacting moves at most a few bytes).
+    char* dst = nullptr;
+    std::size_t room = 0;
+    if (partial_) {
+      dst = partial_->data + partial_->filled;
+      room = partial_->header.payload_len - partial_->filled;
+    } else {
+      if (rpos_ > 0) {
+        std::memmove(rbuf_.data(), rbuf_.data() + rpos_, rend_ - rpos_);
+        rend_ -= rpos_;
+        rpos_ = 0;
+      }
+      dst = rbuf_.data() + rend_;
+      room = rbuf_.size() - rend_;
+    }
+    const std::size_t want = std::min(room, budget);
+    auto n = socket_.ReadSome(dst, want);
     if (!n.ok()) {
       // Orderly close, reset, or an injected net.recv fault: either way
       // this connection is done.
@@ -160,19 +183,40 @@ void ServerConnection::OnReadable() {
       return;
     }
     if (*n == 0) break;  // drained
-    rbuf_.append(chunk, *n);
-    if (*n < sizeof(chunk)) break;
+    budget -= *n;
+    if (partial_) {
+      partial_->filled += *n;
+    } else {
+      rend_ += *n;
+    }
+    ProcessInput();
+    if (guard->conn == nullptr) return;  // closed during dispatch
+    if (*n < want) break;  // the socket had no more for now
   }
-  ProcessBuffer();
 }
 
-void ServerConnection::ProcessBuffer() {
+void ServerConnection::ProcessInput() {
   auto guard = wake_;
   while (!severing_) {
-    const std::size_t avail = rbuf_.size() - rpos_;
-    if (avail < kFrameHeaderBytes) break;
+    if (partial_) {
+      if (partial_->filled < partial_->header.payload_len) return;
+      const PartialFrame frame = std::move(*partial_);
+      partial_.reset();
+      const Status checked = CheckFramePayload(frame.header, frame.payload);
+      if (!checked.ok()) {
+        LOG_WARN << "net: dropping connection after corrupt frame: "
+                 << checked.message();
+        Close();
+        return;
+      }
+      DispatchFrame(frame.payload, frame.header.trace,
+                    frame.header.correlation);
+      if (guard->conn == nullptr) return;  // closed during dispatch
+      continue;
+    }
+    if (rend_ - rpos_ < kFrameHeaderBytes) return;
     FrameHeader header;
-    Status parsed = ParseFrameHeader(
+    const Status parsed = ParseFrameHeader(
         std::string_view(rbuf_).substr(rpos_, kFrameHeaderBytes), &header);
     if (!parsed.ok()) {
       // A corrupt length desynchronizes the stream; nothing after it can be
@@ -182,34 +226,26 @@ void ServerConnection::ProcessBuffer() {
       Close();
       return;
     }
-    if (avail < kFrameHeaderBytes + header.payload_len) break;
-    const std::string_view payload = std::string_view(rbuf_).substr(
-        rpos_ + kFrameHeaderBytes, header.payload_len);
-    parsed = CheckFramePayload(header, payload);
-    if (!parsed.ok()) {
-      LOG_WARN << "net: dropping connection after corrupt frame: "
-               << parsed.message();
-      Close();
-      return;
-    }
-    rpos_ += kFrameHeaderBytes + header.payload_len;
-    DispatchFrame(payload, header.trace, header.correlation);
-    if (guard->conn == nullptr) return;  // closed during dispatch
-  }
-  if (rpos_ > 0) {
-    rbuf_.erase(0, rpos_);
-    rpos_ = 0;
+    rpos_ += kFrameHeaderBytes;
+    // Every payload gets a buffer of its own, because a Produce value stays
+    // in the log as a slice of it. What already arrived moves over; the
+    // rest is read into it directly.
+    PartialFrame& frame = partial_.emplace();
+    frame.header = header;
+    frame.payload = ps::Bytes::Allocate(header.payload_len, &frame.data);
+    frame.filled = std::min<std::size_t>(rend_ - rpos_, header.payload_len);
+    std::memcpy(frame.data, rbuf_.data() + rpos_, frame.filled);
+    rpos_ += frame.filled;
   }
 }
 
-void ServerConnection::DispatchFrame(std::string_view payload,
+void ServerConnection::DispatchFrame(const ps::Bytes& payload,
                                      const TraceContext& trace,
                                      std::uint64_t correlation) {
   if (ctx_->bytes_in != nullptr) {
     ctx_->bytes_in->Inc(kFrameHeaderBytes + payload.size());
   }
-  std::string response;
-  bool parked = false;
+  std::optional<Reply> reply;
   Status handled;
   {
     // Server-side hop of a traced request: dur covers dispatch; the client
@@ -218,7 +254,7 @@ void ServerConnection::DispatchFrame(std::string_view payload,
     if (trace.sampled() && obs::TracingEnabled()) {
       span = obs::SpanScope("server.dispatch", "net", trace);
     }
-    handled = HandleRequest(payload, trace, correlation, &response, &parked);
+    handled = HandleRequest(payload, trace, correlation, &reply);
   }
   // Failpoint "net.server.dispatch": sever the connection after the request
   // was applied but before the response goes out — the crash window that
@@ -228,9 +264,11 @@ void ServerConnection::DispatchFrame(std::string_view payload,
     Close();
     return;
   }
-  if (parked) return;  // response queued when the park resolves
-  // An envelope that did not decode leaves nothing to answer.
-  if (!response.empty()) QueueResponse(response, trace, correlation);
+  // A parked request is answered when the park resolves; an envelope that
+  // did not decode leaves nothing to answer.
+  if (reply) {
+    QueueResponse(reply->status, std::move(reply->body), trace, correlation);
+  }
   if (!handled.ok()) {
     // The error response (if any) is queued above; now sever — a corrupt
     // body means the next frame boundary cannot be trusted, and a client
@@ -240,10 +278,10 @@ void ServerConnection::DispatchFrame(std::string_view payload,
   }
 }
 
-Status ServerConnection::HandleRequest(std::string_view payload,
+Status ServerConnection::HandleRequest(const ps::Bytes& payload,
                                        const TraceContext& trace,
                                        std::uint64_t correlation,
-                                       std::string* response, bool* parked) {
+                                       std::optional<Reply>* reply) {
   ApiKey api{};
   std::string_view body;
   Status decoded = DecodeRequest(payload, &api, &body);
@@ -251,7 +289,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
   if (!hello_done_ && api != ApiKey::kHello) {
     const Status refused = Status::InvalidArgument(
         std::string("protocol: Hello required before ") + ApiKeyName(api));
-    EncodeResponse(refused, {}, response);
+    reply->emplace(Reply{refused, {}});
     return refused;
   }
 
@@ -261,7 +299,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
   const std::int64_t start_us = NowUs();
 
   Status status = Status::Ok();
-  std::string out;
+  Pieces out;
   switch (api) {
     case ApiKey::kCreateTopic: {
       CreateTopicRequest req;
@@ -288,13 +326,14 @@ Status ServerConnection::HandleRequest(std::string_view payload,
           }
           resp.topics.push_back(TopicMetadata{topic, stats->offsets});
         }
-        if (status.ok()) EncodeMetadataResponse(resp, &out);
+        if (status.ok()) EncodeMetadataResponse(resp, out.out());
       }
       break;
     }
     case ApiKey::kProduce: {
+      // The value is a slice of the frame's buffer; the log keeps it so.
       ProduceRequest req;
-      status = DecodeProduceRequest(body, &req);
+      status = DecodeProduceRequest(payload.Slice(body), &req);
       ReplicationHooks* repl = ctx_->options->repl;
       if (status.ok() && repl != nullptr) {
         // Replicated topics only accept produces on the leader; the error
@@ -302,7 +341,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
         status = repl->CheckProduce(req.topic);
       }
       if (status.ok()) {
-        auto appended = broker->Produce(req.topic, req.record);
+        auto appended = broker->Produce(req.topic, std::move(req.record));
         status = appended.status();
         if (status.ok()) {
           const ProduceResponse resp{appended->first, appended->second};
@@ -312,18 +351,18 @@ Status ServerConnection::HandleRequest(std::string_view payload,
             // majority of the replica set confirms it (or the quorum
             // timeout answers Timeout — the client retry is at-least-once).
             ParkProduce(req.topic, resp, trace, correlation);
-            *parked = true;
             if (requests != nullptr) requests->Inc();
             return Status::Ok();
           }
-          EncodeProduceResponse(resp, &out);
+          EncodeProduceResponse(resp, out.out());
         }
       }
       break;
     }
     case ApiKey::kFetch: {
-      status = HandleFetch(body, trace, correlation, &out, parked);
-      if (*parked) {
+      bool parked = false;
+      status = HandleFetch(body, trace, correlation, &out, &parked);
+      if (parked) {
         // The response is queued when the park resolves; count the request
         // now (latency histograms cover only non-parked requests).
         if (requests != nullptr) requests->Inc();
@@ -339,7 +378,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
         status = member.status();
         if (status.ok()) {
           memberships_.emplace_back(req.group, *member);
-          EncodeJoinGroupResponse(JoinGroupResponse{*member}, &out);
+          EncodeJoinGroupResponse(JoinGroupResponse{*member}, out.out());
         }
       }
       break;
@@ -360,7 +399,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
         HeartbeatResponse resp;
         resp.assignment =
             broker->Assignment(req.group, req.member, &resp.generation);
-        EncodeHeartbeatResponse(resp, &out);
+        EncodeHeartbeatResponse(resp, out.out());
       }
       break;
     }
@@ -390,7 +429,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
             break;
           }
         }
-        if (status.ok()) EncodeOffsetFetchResponse(resp, &out);
+        if (status.ok()) EncodeOffsetFetchResponse(resp, out.out());
       }
       break;
     }
@@ -404,7 +443,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
             std::to_string(kProtocolVersion));
       }
       hello_done_ = status.ok();
-      if (hello_done_) EncodeHelloResponse(HelloResponse{}, &out);
+      if (hello_done_) EncodeHelloResponse(HelloResponse{}, out.out());
       break;
     }
     case ApiKey::kReplicaFetch: {
@@ -432,7 +471,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
         } else {
           ReplicaAckResponse resp;
           status = repl->HandleReplicaAck(req, &resp);
-          if (status.ok()) EncodeReplicaAckResponse(resp, &out);
+          if (status.ok()) EncodeReplicaAckResponse(resp, out.out());
         }
       }
       break;
@@ -447,7 +486,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
         } else {
           PromoteLeaderResponse resp;
           status = repl->HandlePromoteLeader(req, &resp);
-          if (status.ok()) EncodePromoteLeaderResponse(resp, &out);
+          if (status.ok()) EncodePromoteLeaderResponse(resp, out.out());
         }
       }
       break;
@@ -462,7 +501,7 @@ Status ServerConnection::HandleRequest(std::string_view payload,
         } else {
           ClusterMetaResponse resp;
           status = repl->HandleClusterMeta(req, &resp);
-          if (status.ok()) EncodeClusterMetaResponse(resp, &out);
+          if (status.ok()) EncodeClusterMetaResponse(resp, out.out());
         }
       }
       break;
@@ -475,14 +514,15 @@ Status ServerConnection::HandleRequest(std::string_view payload,
   // A malformed body means the client and server disagree about the protocol
   // (or the frame CRC missed something), and so does a failed Hello: answer
   // with the error once, then sever.
-  EncodeResponse(status, out, response);
-  return status.IsCorruption() || !hello_done_ ? status : Status::Ok();
+  const bool sever = status.IsCorruption() || !hello_done_;
+  reply->emplace(Reply{status, std::move(out)});
+  return sever ? status : Status::Ok();
 }
 
 Status ServerConnection::HandleFetch(std::string_view body,
                                      const TraceContext& trace,
-                                     std::uint64_t correlation,
-                                     std::string* out, bool* parked) {
+                                     std::uint64_t correlation, Pieces* out,
+                                     bool* parked) {
   FetchRequest req;
   STRATA_RETURN_IF_ERROR(DecodeFetchRequest(body, &req));
 
@@ -610,14 +650,12 @@ void ServerConnection::FinishParked(std::list<ParkedFetch>::iterator it,
     ctx_->broker->RemoveDataWaiter(shard, id);
   }
   if (it->timer_id != 0) loop_->CancelTimer(it->timer_id);
-  std::string body;
+  Pieces body;
   if (status.ok()) EncodeFetchResponse(resp, &body);
-  std::string payload;
-  EncodeResponse(status, body, &payload);
   const TraceContext trace = it->trace;
   const std::uint64_t correlation = it->correlation;
   parked_.erase(it);
-  QueueResponse(payload, trace, correlation);
+  QueueResponse(status, std::move(body), trace, correlation);
 }
 
 void ServerConnection::CompleteAllParked() {
@@ -684,44 +722,67 @@ void ServerConnection::FinishParkedProduce(std::uint64_t id,
     // No-op when the waiter already fired; required when the timer won the
     // race so a late commit cannot resurrect the erased entry.
     ctx_->options->repl->CancelCommitWaiter(it->waiter_id);
-    std::string body;
-    if (status.ok()) EncodeProduceResponse(it->resp, &body);
-    std::string payload;
-    EncodeResponse(status, body, &payload);
+    Pieces body;
+    if (status.ok()) EncodeProduceResponse(it->resp, body.out());
     const TraceContext trace = it->trace;
     const std::uint64_t correlation = it->correlation;
     parked_produce_.erase(it);
-    QueueResponse(payload, trace, correlation);
+    QueueResponse(status, std::move(body), trace, correlation);
     return;
   }
 }
 
-void ServerConnection::QueueResponse(const std::string& payload,
+void ServerConnection::QueueResponse(const Status& status, Pieces body,
                                      const TraceContext& trace,
                                      std::uint64_t correlation) {
   // Echo the request's trace, so the reply leg is attributable to the same
   // trace, and its correlation id, so a pipelining client can match
-  // out-of-order completions.
-  const std::size_t before = wbuf_.size();
-  EncodeFrame(payload, trace, correlation, &wbuf_);
-  if (ctx_->bytes_out != nullptr) ctx_->bytes_out->Inc(wbuf_.size() - before);
+  // out-of-order completions. The body (record values included) is queued
+  // as it is and goes out in gathered writes.
+  OutFrame& frame = wqueue_.emplace_back();
+  frame.head.assign(kFrameHeaderBytes, '\0');
+  EncodeResponse(status, {}, &frame.head);  // the body follows only on Ok
+  if (status.ok()) frame.body = std::move(body);
+  wviews_.assign(
+      {std::string_view(frame.head).substr(kFrameHeaderBytes)});
+  frame.body.AppendViews(&wviews_);
+  EncodeFrameHeader(wviews_, trace, correlation, frame.head.data());
+  frame.bytes = frame.head.size() + frame.body.size();
+  if (ctx_->bytes_out != nullptr) ctx_->bytes_out->Inc(frame.bytes);
   StartWrite();
 }
 
 void ServerConnection::StartWrite() {
-  while (wpos_ < wbuf_.size()) {
-    auto n = socket_.WriteSome(std::string_view(wbuf_).substr(wpos_));
+  while (!wqueue_.empty()) {
+    // Gather the queued frames' pieces, resuming where the last write
+    // stopped inside the front frame.
+    wviews_.clear();
+    for (const OutFrame& frame : wqueue_) {
+      wviews_.push_back(frame.head);
+      frame.body.AppendViews(&wviews_);
+      if (wviews_.size() >= kWriteViews) break;
+    }
+    auto first = wviews_.begin();
+    std::size_t skip = wpos_;
+    while (skip >= first->size()) {
+      skip -= first->size();
+      ++first;
+    }
+    first->remove_prefix(skip);
+    auto n = socket_.WriteSome(std::span(first, wviews_.end()));
     if (!n.ok()) {
       ScheduleClose();
       return;
     }
     if (*n == 0) break;  // kernel buffer full
-    wpos_ += *n;
     last_write_progress_ = std::chrono::steady_clock::now();
+    wpos_ += *n;
+    while (!wqueue_.empty() && wpos_ >= wqueue_.front().bytes) {
+      wpos_ -= wqueue_.front().bytes;
+      wqueue_.pop_front();
+    }
   }
-  if (wpos_ >= wbuf_.size()) {
-    wbuf_.clear();
-    wpos_ = 0;
+  if (wqueue_.empty()) {
     ArmWrite(false);
     // A severed connection closes once everything queued went out.
     if (severing_) ScheduleClose();

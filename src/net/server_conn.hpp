@@ -23,13 +23,16 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/trace_context.hpp"
+#include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
@@ -126,24 +129,49 @@ class ServerConnection {
     std::atomic<bool> retry_pending{false};
   };
 
+  /// A response to queue: the application status and, on Ok, its body.
+  struct Reply {
+    Status status;
+    Pieces body;
+  };
+
+  /// A frame whose header is parsed and whose payload is being read
+  /// straight into its own buffer (`data` is that buffer's one writer).
+  struct PartialFrame {
+    FrameHeader header;
+    ps::Bytes payload;
+    char* data = nullptr;
+    std::size_t filled = 0;
+  };
+
+  /// A queued outgoing frame: the 32-byte header and the response envelope
+  /// in `head`, then the body's pieces (record values by reference).
+  struct OutFrame {
+    std::string head;
+    Pieces body;
+    std::size_t bytes = 0;  // head + body
+  };
+
   void OnIoEvent(std::uint32_t events);
   void OnReadable();
   void OnWritable();
-  /// Parse and dispatch every complete frame in the read buffer.
-  void ProcessBuffer();
-  void DispatchFrame(std::string_view payload, const TraceContext& trace,
+  /// Parse frame headers out of the read buffer and dispatch every frame
+  /// whose payload is complete.
+  void ProcessInput();
+  void DispatchFrame(const ps::Bytes& payload, const TraceContext& trace,
                      std::uint64_t correlation);
 
   /// Decode, dispatch, and encode one request. The returned status is the
-  /// *transport* outcome; application errors travel inside the response.
-  /// Sets `*parked` (and leaves `*response` empty) when a Fetch parked.
-  [[nodiscard]] Status HandleRequest(std::string_view payload,
+  /// *transport* outcome; application errors travel inside the reply. Leaves
+  /// `*reply` empty when the envelope did not decode (nothing to answer) or
+  /// when the request parked (it is answered when the park resolves).
+  [[nodiscard]] Status HandleRequest(const ps::Bytes& payload,
                                      const TraceContext& trace,
                                      std::uint64_t correlation,
-                                     std::string* response, bool* parked);
+                                     std::optional<Reply>* reply);
   [[nodiscard]] Status HandleFetch(std::string_view body,
                                    const TraceContext& trace,
-                                   std::uint64_t correlation, std::string* out,
+                                   std::uint64_t correlation, Pieces* out,
                                    bool* parked);
 
   /// Re-run every parked fetch after a shard wake-up; completes the ready
@@ -165,12 +193,13 @@ class ServerConnection {
   /// when the other of the two already resolved it.
   void FinishParkedProduce(std::uint64_t id, const Status& status);
 
-  /// Frame a response, echoing the request's trace and correlation id, and
-  /// append it to the write buffer.
-  void QueueResponse(const std::string& payload, const TraceContext& trace,
-                     std::uint64_t correlation);
-  /// Push the write buffer out; arms EPOLLOUT when the socket backpressures
-  /// and schedules the close once a severed connection fully drains.
+  /// Frame a response (`status`, then `body` on Ok), echoing the request's
+  /// trace and correlation id, and queue it for writing.
+  void QueueResponse(const Status& status, Pieces body,
+                     const TraceContext& trace, std::uint64_t correlation);
+  /// Push the queued frames out in gathered writes; arms EPOLLOUT when the
+  /// socket backpressures and schedules the close once a severed
+  /// connection fully drains.
   void StartWrite();
   void ArmWrite(bool want);
   void EnsureWriteStallTimer();
@@ -185,10 +214,16 @@ class ServerConnection {
   Socket socket_;
   std::shared_ptr<WakeTarget> wake_;
 
+  /// Bytes read but not yet parsed: [rpos_, rend_) of a fixed-size buffer.
+  /// Only frame headers are parsed here; every payload is moved to its own
+  /// buffer (partial_) at once.
   std::string rbuf_;
   std::size_t rpos_ = 0;
-  std::string wbuf_;
-  std::size_t wpos_ = 0;
+  std::size_t rend_ = 0;
+  std::optional<PartialFrame> partial_;
+  std::deque<OutFrame> wqueue_;
+  std::size_t wpos_ = 0;  // bytes of wqueue_.front() already written
+  std::vector<std::string_view> wviews_;  // StartWrite's gather list
   bool want_write_ = false;
   bool severing_ = false;
   bool closed_ = false;

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -20,6 +21,45 @@ namespace {
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
+}
+
+/// At most this many iovecs per sendmsg; a longer list goes out in turns.
+constexpr std::size_t kMaxIov = 64;
+
+/// Fills `iov` with the bytes [from, to) of `pieces` taken as one stream,
+/// at most kMaxIov entries; returns how many it filled.
+std::size_t FillIov(std::span<const std::string_view> pieces, std::size_t from,
+                    std::size_t to, struct iovec* iov) {
+  std::size_t count = 0;
+  std::size_t at = 0;  // stream offset of the current piece
+  for (const std::string_view piece : pieces) {
+    if (at >= to || count == kMaxIov) break;
+    const std::size_t end = at + piece.size();
+    if (end > from) {
+      const std::size_t skip = from > at ? from - at : 0;
+      iov[count].iov_base = const_cast<char*>(piece.data() + skip);
+      iov[count].iov_len = std::min(end, to) - at - skip;
+      ++count;
+    }
+    at = end;
+  }
+  return count;
+}
+
+std::size_t TotalSize(std::span<const std::string_view> pieces) {
+  std::size_t total = 0;
+  for (const std::string_view piece : pieces) total += piece.size();
+  return total;
+}
+
+/// One sendmsg of the bytes [from, to) of `pieces`; the raw return value.
+ssize_t SendPieces(int fd, std::span<const std::string_view> pieces,
+                   std::size_t from, std::size_t to) {
+  struct iovec iov[kMaxIov];
+  struct msghdr msg = {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = FillIov(pieces, from, to, iov);
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 Status SetNonBlocking(int fd) {
@@ -164,20 +204,17 @@ Status Socket::ReadFully(void* buf, std::size_t n, Deadline deadline) {
   return Status::Ok();
 }
 
-Status Socket::WriteAll(std::string_view data, Deadline deadline) {
+Status Socket::WriteAll(std::span<const std::string_view> pieces,
+                        Deadline deadline) {
   // Failpoint "net.send": error sends nothing, torn-write(n) pushes only the
-  // first n bytes before failing — the peer sees a truncated frame, the
-  // caller sees the injected error.
+  // first n bytes of the stream (wherever the piece boundaries are) before
+  // failing — the peer sees a truncated frame, the caller the injected error.
+  std::size_t total = TotalSize(pieces);
   Status injected = Status::Ok();
-  if (fault::AnyActive()) {
-    std::size_t limit = data.size();
-    injected = fault::InjectWrite("net.send", &limit);
-    data = data.substr(0, limit);
-  }
+  if (fault::AnyActive()) injected = fault::InjectWrite("net.send", &total);
   std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t rc =
-        ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+  while (sent < total) {
+    const ssize_t rc = SendPieces(fd_, pieces, sent, total);
     if (rc > 0) {
       sent += static_cast<std::size_t>(rc);
       continue;
@@ -207,15 +244,13 @@ Result<std::size_t> Socket::ReadSome(void* buf, std::size_t n) {
   }
 }
 
-Result<std::size_t> Socket::WriteSome(std::string_view data) {
+Result<std::size_t> Socket::WriteSome(
+    std::span<const std::string_view> pieces) {
+  std::size_t total = TotalSize(pieces);
   Status injected = Status::Ok();
-  if (fault::AnyActive()) {
-    std::size_t limit = data.size();
-    injected = fault::InjectWrite("net.send", &limit);
-    data = data.substr(0, limit);
-  }
+  if (fault::AnyActive()) injected = fault::InjectWrite("net.send", &total);
   for (;;) {
-    const ssize_t rc = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
+    const ssize_t rc = SendPieces(fd_, pieces, 0, total);
     if (rc >= 0) {
       if (!injected.ok()) return injected;
       return static_cast<std::size_t>(rc);

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -55,18 +56,26 @@ class Socket {
   /// IoError on transport errors, Timeout past the deadline.
   [[nodiscard]] Status ReadFully(void* buf, std::size_t n, Deadline deadline);
 
-  /// Write all of `data` (handles partial writes; SIGPIPE suppressed).
-  [[nodiscard]] Status WriteAll(std::string_view data, Deadline deadline);
+  /// Write all of `pieces`, in order, as one byte stream: gathered writes
+  /// (sendmsg), so the pieces are never copied into one buffer. Handles
+  /// partial writes; SIGPIPE suppressed.
+  [[nodiscard]] Status WriteAll(std::span<const std::string_view> pieces,
+                                Deadline deadline);
+  [[nodiscard]] Status WriteAll(std::string_view data, Deadline deadline) {
+    return WriteAll(std::span(&data, 1), deadline);
+  }
 
   /// One non-blocking read of at most `n` bytes. Returns the byte count
   /// (> 0), 0 when the socket would block, Unavailable on orderly peer
   /// close. Shares the "net.recv" failpoint with ReadFully.
   [[nodiscard]] Result<std::size_t> ReadSome(void* buf, std::size_t n);
 
-  /// One non-blocking write. Returns the bytes accepted (possibly 0 when
-  /// the socket would block); Unavailable once the peer is gone. Shares the
-  /// "net.send" failpoint (torn writes included) with WriteAll.
-  [[nodiscard]] Result<std::size_t> WriteSome(std::string_view data);
+  /// One non-blocking gathered write of `pieces` taken as one stream.
+  /// Returns the bytes accepted (possibly 0 when the socket would block);
+  /// Unavailable once the peer is gone. Shares the "net.send" failpoint
+  /// (torn writes included) with WriteAll.
+  [[nodiscard]] Result<std::size_t> WriteSome(
+      std::span<const std::string_view> pieces);
 
   /// Half-close both directions: unblocks any thread inside ReadFully.
   void Shutdown() noexcept;

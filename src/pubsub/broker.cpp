@@ -159,7 +159,7 @@ Broker::BrokerStats Broker::Stats() const {
 }
 
 Result<std::pair<int, std::int64_t>> Broker::Produce(const std::string& topic,
-                                                     const Record& record) {
+                                                     Record record) {
   PartitionLog* log = nullptr;
   obs::Counter* produced = nullptr;
   int partition = 0;
@@ -183,7 +183,7 @@ Result<std::pair<int, std::int64_t>> Broker::Produce(const std::string& topic,
     log = t.logs[static_cast<std::size_t>(partition)].get();
     produced = t.produced;
   }
-  auto offset = log->Append(record);
+  auto offset = log->Append(std::move(record));
   if (!offset.ok()) {
     // Map storage failure modes onto distinct client-visible codes: a
     // fail-stopped partition rejects everything until the broker is rebuilt

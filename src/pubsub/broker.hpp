@@ -114,9 +114,10 @@ class Broker {
   [[nodiscard]] BrokerStats Stats() const;
 
   /// Append a record; partition chosen by key hash (or round-robin when the
-  /// key is empty). Returns (partition, offset).
+  /// key is empty). Returns (partition, offset). The log keeps the record's
+  /// value buffer as it is.
   [[nodiscard]] Result<std::pair<int, std::int64_t>> Produce(
-      const std::string& topic, const Record& record);
+      const std::string& topic, Record record);
 
   /// Direct partition access for consumers/tests.
   [[nodiscard]] Result<PartitionLog*> GetLog(const std::string& topic,
@@ -126,7 +127,8 @@ class Broker {
   /// and the server's Fetch: heals `offset` up to the log start (retention
   /// may have dropped it), reads at most `max_records` records that lie
   /// below `limit` (the server passes its replication high watermark), and
-  /// stores them as ConsumedRecords in `*out`.
+  /// stores them as ConsumedRecords in `*out`. Their values share the log's
+  /// buffers.
   [[nodiscard]] Status Read(
       const TopicPartition& tp, std::int64_t offset, std::size_t max_records,
       PartitionRead* out,

@@ -14,10 +14,28 @@
 
 namespace strata::ps {
 
-void EncodeRecord(const Record& record, std::string* out) {
+namespace {
+
+/// A record's encoding up to its value bytes: timestamp, length-prefixed
+/// key, value length.
+void EncodeRecordHead(const Record& record, std::string* out) {
   codec::PutVarint64Signed(out, record.timestamp);
   codec::PutLengthPrefixed(out, record.key);
-  codec::PutLengthPrefixed(out, record.value);
+  codec::PutVarint64(out, record.value.size());
+}
+
+std::string SegmentFileName(std::int64_t base_offset) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%012lld.seg",
+                static_cast<long long>(base_offset));
+  return buf;
+}
+
+}  // namespace
+
+void EncodeRecord(const Record& record, std::string* out) {
+  EncodeRecordHead(record, out);
+  out->append(record.value.data(), record.value.size());
 }
 
 Status DecodeRecord(std::string_view* in, Record* out) {
@@ -29,20 +47,9 @@ Status DecodeRecord(std::string_view* in, Record* out) {
     return Status::Corruption("DecodeRecord: truncated");
   }
   out->key.assign(key.data(), key.size());
-  out->value.assign(value.data(), value.size());
+  out->value = Bytes::Copy(value);
   return Status::Ok();
 }
-
-namespace {
-
-std::string SegmentFileName(std::int64_t base_offset) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%012lld.seg",
-                static_cast<long long>(base_offset));
-  return buf;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<PartitionLog>> PartitionLog::Open(
     const LogOptions& options) {
@@ -163,22 +170,35 @@ Status PartitionLog::AppendToSegmentLocked(const Record& record) {
   if (segment_ == nullptr || segment_written_ >= options_.segment_bytes) {
     STRATA_RETURN_IF_ERROR(RollSegmentLocked());
   }
-  std::string body;
-  EncodeRecord(record, &body);
-  std::string framed;
-  codec::PutFixed32(&framed, MaskCrc(Crc32c(body)));
-  codec::PutFixed32(&framed, static_cast<std::uint32_t>(body.size()));
-  framed.append(body);
+  // The entry goes out as two pieces: the 8-byte CRC/length header with the
+  // record head after it, then the value straight from the record's buffer.
+  // The CRC chains across both, exactly as over the concatenated record.
+  constexpr std::size_t kEntryHeaderBytes = 8;
+  segment_head_.assign(kEntryHeaderBytes, '\0');
+  EncodeRecordHead(record, &segment_head_);
+  const std::string_view head =
+      std::string_view(segment_head_).substr(kEntryHeaderBytes);
+  const std::string_view value = record.value;
+  std::string header;
+  codec::PutFixed32(&header, MaskCrc(Crc32c(value, Crc32c(head))));
+  codec::PutFixed32(&header,
+                    static_cast<std::uint32_t>(head.size() + value.size()));
+  segment_head_.replace(0, kEntryHeaderBytes, header);
 
-  // Failpoint "segment.append": error drops the frame, torn-write(n)
+  // Failpoint "segment.append": error drops the entry, torn-write(n)
   // persists only the first n bytes; the injected error is returned after
   // the partial bytes land so recovery sees a genuine torn tail.
-  std::size_t limit = framed.size();
+  std::size_t limit = segment_head_.size() + value.size();
   Status injected = Status::Ok();
   if (fault::AnyActive()) {
     injected = fault::InjectWrite("segment.append", &limit);
   }
-  if (std::fwrite(framed.data(), 1, limit, segment_) != limit ||
+  const std::size_t head_bytes = std::min(limit, segment_head_.size());
+  const std::size_t value_bytes = limit - head_bytes;
+  if (std::fwrite(segment_head_.data(), 1, head_bytes, segment_) !=
+          head_bytes ||
+      (value_bytes > 0 &&
+       std::fwrite(value.data(), 1, value_bytes, segment_) != value_bytes) ||
       std::fflush(segment_) != 0) {
     return Status::IoError("segment append failed");
   }
@@ -215,7 +235,7 @@ Status PartitionLog::HandleDiskErrorLocked(Status error) {
   return error;
 }
 
-Result<std::int64_t> PartitionLog::Append(const Record& record) {
+Result<std::int64_t> PartitionLog::Append(Record record) {
   std::unique_lock lock(mu_);
   if (closed_) return Status::Closed("log closed");
   if (fail_stopped_) return fail_stop_error_;
@@ -228,7 +248,7 @@ Result<std::int64_t> PartitionLog::Append(const Record& record) {
   }
 
   const std::int64_t offset = next_offset_++;
-  records_.push_back(record);
+  records_.push_back(std::move(record));
   if (options_.retention_records > 0 &&
       records_.size() > options_.retention_records) {
     records_.pop_front();

@@ -56,12 +56,14 @@ class PartitionLog {
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  /// Append one record; returns its assigned offset.
-  [[nodiscard]] Result<std::int64_t> Append(const Record& record);
+  /// Append one record; returns its assigned offset. The log keeps the
+  /// record's value buffer as it is (no copy).
+  [[nodiscard]] Result<std::int64_t> Append(Record record);
 
   /// Read up to max_records starting at `offset`. Returns immediately with
   /// whatever is available (possibly empty). Offsets below the retention
-  /// horizon return InvalidArgument.
+  /// horizon return InvalidArgument. The records share the log's value
+  /// buffers, which stay valid after retention trims them from the log.
   [[nodiscard]] Status ReadFrom(std::int64_t offset, std::size_t max_records,
                                 std::vector<Record>* out,
                                 std::int64_t* next_offset) const;
@@ -120,6 +122,9 @@ class PartitionLog {
 
   std::FILE* segment_ = nullptr;    // active segment file (may be null)
   std::size_t segment_written_ = 0;
+  /// Reused for each segment entry's header and record head (value bytes
+  /// are written from the record's own buffer).
+  std::string segment_head_;
   bool degraded_ = false;           // sticky (kDegrade)
   bool fail_stopped_ = false;       // sticky (kFailStop)
   Status fail_stop_error_ = Status::Ok();

@@ -18,7 +18,7 @@ class Producer final : public ProducerClient {
   /// Returns (partition, offset) of the appended record.
   [[nodiscard]] Result<std::pair<int, std::int64_t>> Send(
       const std::string& topic, Record record) override {
-    return broker_->Produce(topic, record);
+    return broker_->Produce(topic, std::move(record));
   }
 
  private:

@@ -722,7 +722,7 @@ bool ReplicationManager::FetchRound(const std::string& topic,
 
   std::string body;
   net::EncodeReplicaFetchRequest(req, &body);
-  std::string response;
+  ps::Bytes response;
   if (Status call = conn->Call(net::ApiKey::kReplicaFetch, body, &response,
                                {}, /*retry=*/false);
       !call.ok()) {
@@ -771,7 +771,7 @@ bool ReplicationManager::FetchRound(const std::string& topic,
   };
   std::vector<Applied> applied;
   std::uint64_t replicated = 0;
-  for (const auto& entry : resp.entries) {
+  for (auto& entry : resp.entries) {
     auto log = broker_->GetLog(topic, static_cast<int>(entry.partition));
     if (!log.ok()) continue;
     std::int64_t local = (*log)->EndOffset();
@@ -790,13 +790,13 @@ bool ReplicationManager::FetchRound(const std::string& topic,
       continue;
     }
     bool append_failed = false;
-    for (const ps::Record& record : entry.records) {
+    for (ps::Record& record : entry.records) {
       if (Status fp = fault::Evaluate("repl.follower.append"); !fp.ok()) {
         LOG_WARN << "repl: injected follower append fault: " << fp.ToString();
         append_failed = true;
         break;
       }
-      auto offset = (*log)->Append(record);
+      auto offset = (*log)->Append(std::move(record));
       if (!offset.ok()) {
         LOG_WARN << "repl: follower append failed on " << topic << "/"
                  << entry.partition << ": " << offset.status().ToString();
@@ -910,7 +910,7 @@ void ReplicationManager::RunElection(const std::string& topic) {
     if (broker.id == options_.self.id) continue;
     net::ClientConnection* conn = Peer(broker.id);
     if (conn == nullptr) continue;
-    std::string response;
+    ps::Bytes response;
     if (Status call = conn->Call(net::ApiKey::kClusterMeta, body, &response,
                                  {}, /*retry=*/false);
         !call.ok()) {
@@ -1103,7 +1103,7 @@ void ReplicationManager::PromoteSelf(const std::string& topic,
     if (broker.id == options_.self.id) continue;
     net::ClientConnection* conn = Peer(broker.id);
     if (conn == nullptr) continue;
-    std::string response;
+    ps::Bytes response;
     if (Status call = conn->Call(net::ApiKey::kPromoteLeader, body, &response,
                                  {}, /*retry=*/false);
         !call.ok()) {

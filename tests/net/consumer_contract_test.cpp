@@ -57,8 +57,9 @@ class ConsumerContractTest : public ::testing::TestWithParam<Transport> {
   void Append(const std::string& topic, int from, int to) {
     for (int i = from; i < to; ++i) {
       ps::Record record;
-      record.value = "v";
-      record.value.append(std::to_string(i));
+      std::string value = "v";
+      value.append(std::to_string(i));
+      record.value = std::move(value);
       ASSERT_TRUE(broker_.Produce(topic, record).ok());
     }
   }

@@ -107,7 +107,7 @@ TEST_F(InteropTest, VersionMismatchIsFinalAndNamesBothVersions) {
     ClientConnection conn(remote);
     std::string request_body;
     EncodeMetadataRequest({}, &request_body);
-    std::string response;
+    ps::Bytes response;
     const Status called = conn.Call(ApiKey::kMetadata, request_body, &response);
     fake.Join();
 
@@ -142,7 +142,7 @@ TEST_F(InteropTest, WrongCorrelationIdIsATransportFault) {
   ClientConnection conn(remote);
   std::string request_body;
   EncodeMetadataRequest({}, &request_body);
-  std::string response;
+  ps::Bytes response;
   const Status called = conn.Call(ApiKey::kMetadata, request_body, &response);
   fake.Join();
 
@@ -175,10 +175,10 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
     ProduceRequest req;
     req.topic = "events";
     req.record = ps::Record{"k", "v" + std::to_string(i), 0};
-    std::string body;
+    Pieces body;
     EncodeProduceRequest(req, &body);
     std::string payload;
-    EncodeRequest(ApiKey::kProduce, body, &payload);
+    EncodeRequest(ApiKey::kProduce, body.Flatten(), &payload);
     std::string frame;
     EncodeFrame(payload, {}, correlation, &frame);
     return frame;
@@ -225,7 +225,7 @@ TEST_F(InteropTest, PipelinedProducesSurviveMidStreamDisconnect) {
   std::int64_t next = 0;
   ASSERT_TRUE((*log)->ReadFrom(0, 64, &stored, &next).ok());
   std::set<std::string> values;
-  for (const ps::Record& record : stored) values.insert(record.value);
+  for (const ps::Record& record : stored) values.emplace(record.value);
   for (int i = 0; i < kPipelined; ++i) {
     EXPECT_TRUE(values.contains("v" + std::to_string(i)));
   }

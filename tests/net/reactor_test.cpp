@@ -122,9 +122,9 @@ std::string ProduceBody(const std::string& topic, const std::string& key,
   ProduceRequest req;
   req.topic = topic;
   req.record = MakeRecord(key, value);
-  std::string body;
+  Pieces body;
   EncodeProduceRequest(req, &body);
-  return body;
+  return body.Flatten();
 }
 
 // --- EventLoop --------------------------------------------------------------
@@ -537,7 +537,7 @@ TEST(ClientBackoff, CancelAbortsRetrySleepPromptly) {
   Status call_status = Status::Ok();
   const auto start = std::chrono::steady_clock::now();
   std::thread caller([&] {
-    std::string resp;
+    ps::Bytes resp;
     call_status = connection.Call(ApiKey::kMetadata, body, &resp);
   });
   std::this_thread::sleep_for(150ms);
@@ -551,7 +551,7 @@ TEST(ClientBackoff, CancelAbortsRetrySleepPromptly) {
 
   // Subsequent calls fail fast without touching the network.
   const auto again = std::chrono::steady_clock::now();
-  std::string resp;
+  ps::Bytes resp;
   EXPECT_TRUE(connection.Call(ApiKey::kMetadata, body, &resp).IsClosed());
   EXPECT_LT(std::chrono::steady_clock::now() - again, 1s);
 }
@@ -576,7 +576,7 @@ TEST(ClientBackoff, RetryBudgetIsBoundedByBackoffMax) {
 
   std::string body;
   EncodeMetadataRequest({}, &body);
-  std::string resp;
+  ps::Bytes resp;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(connection.Call(ApiKey::kMetadata, body, &resp).ok());
   const auto elapsed = std::chrono::steady_clock::now() - start;

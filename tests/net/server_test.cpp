@@ -297,7 +297,8 @@ TEST(BrokerServer, DroppedConnectionTriggersRebalance) {
     GroupRequest join;
     join.group = "g";
     join.topic = "shared";
-    std::string body, response;
+    std::string body;
+    ps::Bytes response;
     EncodeGroupRequest(join, &body);
     ASSERT_TRUE(raw.Call(ApiKey::kJoinGroup, body, &response).ok());
     JoinGroupResponse joined;

@@ -342,7 +342,7 @@ TEST_F(ConsumerTest, RebalanceUnderLoadLosesNoRecords) {
         break;
       }
       std::lock_guard lock(mu);
-      for (const auto& record : *batch) values.insert(record.value);
+      for (const auto& record : *batch) values.emplace(record.value);
       if (values.size() == static_cast<std::size_t>(kCount)) stop.store(true);
     }
   };

@@ -221,7 +221,7 @@ TEST(ReplFailoverTorture, AckedRecordsSurviveLeaderKill) {
     while (std::chrono::steady_clock::now() < consume_deadline) {
       auto polled = (*consumer)->Poll(100ms);
       if (polled.ok()) {
-        for (const auto& record : *polled) consumed.insert(record.value);
+        for (const auto& record : *polled) consumed.emplace(record.value);
       }
       bool all = true;
       for (const std::string& value : acked) {

@@ -276,9 +276,9 @@ TEST(ReplCluster, DirectProduceAtFollowerAnswersNotLeader) {
   net::ProduceRequest req;
   req.topic = "events";
   req.record = ps::Record{"k", "v", 0};
-  std::string body;
+  net::Pieces body;
   net::EncodeProduceRequest(req, &body);
-  std::string response;
+  ps::Bytes response;
   Status status = conn.Call(net::ApiKey::kProduce, body, &response);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsNotLeader()) << status.ToString();
@@ -327,7 +327,7 @@ TEST(ReplCluster, LeaderStopPromotesFollowerAndClientsResume) {
   EXPECT_TRUE(Eventually([&] {
     auto polled = (*consumer)->Poll(100ms);
     if (polled.ok()) {
-      for (const auto& record : *polled) values.push_back(record.value);
+      for (const auto& record : *polled) values.emplace_back(record.value);
     }
     return values.size() >= 20;
   }));
